@@ -1,14 +1,23 @@
-//! Campaign checkpointing: atomic save after every pair, resume on load.
+//! Campaign checkpointing: a durable commit after every pair, resume on
+//! load.
 //!
 //! The checkpoint records the campaign's full cursor — which jobs have
 //! predicted, which pairs are fuzzed, every completed [`PairReport`],
 //! quarantine decisions, and trial failures — so a killed campaign resumed
-//! from disk finishes with reports identical to an uninterrupted run. The
-//! write goes through [`crate::durable`]: temp file, fsync, atomic rename,
-//! and a CRC-32 footer, so a crash mid-checkpoint leaves the previous
-//! checkpoint intact and a torn file is *detected* on load rather than
-//! trusted (the recovery scan sidelines it and the campaign redoes the
-//! lost pairs deterministically).
+//! from disk finishes with reports identical to an uninterrupted run.
+//!
+//! On disk the checkpoint is a **base** plus a **journal**
+//! ([`crate::journal`]). The base, at the checkpoint path, is this
+//! module's sealed document: written through [`crate::durable`] (temp
+//! file, fsync, atomic rename, CRC-32 footer), so a crash mid-write leaves
+//! the previous base intact and a torn file is *detected* on load rather
+//! than trusted. The per-pair commit does not rewrite it: it appends one
+//! CRC-framed delta record to `<checkpoint>.journal`, and the base is
+//! rewritten only by a compaction. [`Checkpoint::load`] is the single
+//! reader: base, then every whole and consistent journal record in order.
+//! A torn or inconsistent record ends the replay there — the recovery
+//! scan sidelines that journal, and the campaign redoes the lost pairs
+//! deterministically.
 //!
 //! Granularity is one pair: a kill mid-pair loses only that pair's trials,
 //! and re-running them is deterministic (seeds are `base_seed + trial`), so
@@ -21,6 +30,7 @@ use crate::artifact::{
     check_version, unseal_document, ArtifactError, FailureKind, TrialFailure, FORMAT_VERSION,
 };
 use crate::durable;
+use crate::journal;
 use crate::json::Json;
 use crate::{JobOutcome, QuarantineReason, QuarantinedPair};
 use sana::PruneReason;
@@ -53,15 +63,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serializes the checkpoint document.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("format_version", Json::u64(FORMAT_VERSION)),
-            ("trials_per_pair", Json::usize(self.header.trials_per_pair)),
-            ("base_seed", Json::u64(self.header.base_seed)),
-            (
-                "jobs",
-                Json::Arr(self.jobs.iter().map(job_to_json).collect()),
-            ),
-        ])
+        document_json(&self.header, &self.jobs)
     }
 
     /// Deserializes a checkpoint document.
@@ -99,38 +101,73 @@ impl Checkpoint {
     /// a temp file, fsynced, atomically renamed (failpoint sites
     /// `campaign.checkpoint.{write,sync,rename}`).
     ///
+    /// This writes a base only. A journal left at `<path>.journal` is bound
+    /// to the base it was started on, so it no longer applies.
+    ///
     /// # Errors
     ///
     /// Returns [`ArtifactError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        let sealed = durable::seal(&self.to_json().to_text());
-        durable::write_durable(path, "campaign.checkpoint", sealed.as_bytes())
+        let sealed = sealed_document(&self.header, &self.jobs);
+        durable::write_durable(path, journal::SITE, sealed.as_bytes())
             .map_err(|error| ArtifactError::Io(error.to_string()))
     }
 
-    /// Loads a checkpoint from `path`, verifying the CRC footer (a v2
-    /// checkpoint without one still loads).
+    /// Loads the checkpoint at `path`: the base, verifying its CRC footer
+    /// (a v2 base without one still loads), then the records of the
+    /// journal at `<path>.journal` that are bound to this base, up to the
+    /// first torn or inconsistent one.
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactError`] if the file is unreadable, torn, or
-    /// invalid.
+    /// Returns [`ArtifactError`] if the base is unreadable, torn, or
+    /// invalid. A bad journal record is not an error: the state before it
+    /// is one the campaign really passed through.
     pub fn load(path: &Path) -> Result<Checkpoint, ArtifactError> {
+        Checkpoint::load_journaled(path).map(|(checkpoint, _)| checkpoint)
+    }
+
+    /// [`Checkpoint::load`], also returning why the journal replay stopped
+    /// early, if it did (the recovery scan sidelines such a journal).
+    pub(crate) fn load_journaled(
+        path: &Path,
+    ) -> Result<(Checkpoint, Option<String>), ArtifactError> {
         let text =
             std::fs::read_to_string(path).map_err(|error| ArtifactError::Io(error.to_string()))?;
         let (value, _) = unseal_document(&text)?;
-        Checkpoint::from_json(&value)
+        let mut checkpoint = Checkpoint::from_json(&value)?;
+        let bad_record = journal::replay(
+            &journal::journal_path(path),
+            durable::crc32(text.as_bytes()),
+            &mut checkpoint.jobs,
+        );
+        Ok((checkpoint, bad_record))
     }
 }
 
-fn pair_to_json(pair: &RacePair) -> Json {
+fn document_json(header: &CheckpointHeader, jobs: &[JobOutcome]) -> Json {
+    Json::obj(vec![
+        ("format_version", Json::u64(FORMAT_VERSION)),
+        ("trials_per_pair", Json::usize(header.trials_per_pair)),
+        ("base_seed", Json::u64(header.base_seed)),
+        ("jobs", Json::Arr(jobs.iter().map(job_to_json).collect())),
+    ])
+}
+
+/// The sealed base document for `header` and `jobs`: exactly the bytes
+/// [`Checkpoint::save`] writes.
+pub(crate) fn sealed_document(header: &CheckpointHeader, jobs: &[JobOutcome]) -> String {
+    durable::seal(&document_json(header, jobs).to_text())
+}
+
+pub(crate) fn pair_to_json(pair: &RacePair) -> Json {
     Json::Arr(vec![
         Json::u64(u64::from(pair.first().0)),
         Json::u64(u64::from(pair.second().0)),
     ])
 }
 
-fn pair_from_json(value: &Json) -> Result<RacePair, ArtifactError> {
+pub(crate) fn pair_from_json(value: &Json) -> Result<RacePair, ArtifactError> {
     let items = value
         .as_arr()
         .filter(|items| items.len() == 2)
@@ -151,7 +188,7 @@ fn opt_u64(value: Option<u64>) -> Json {
     }
 }
 
-fn report_to_json(report: &PairReport) -> Json {
+pub(crate) fn report_to_json(report: &PairReport) -> Json {
     Json::obj(vec![
         ("target", pair_to_json(&report.target)),
         ("trials", Json::usize(report.trials)),
@@ -181,7 +218,7 @@ fn report_to_json(report: &PairReport) -> Json {
     ])
 }
 
-fn report_from_json(value: &Json) -> Result<PairReport, ArtifactError> {
+pub(crate) fn report_from_json(value: &Json) -> Result<PairReport, ArtifactError> {
     let field = |key: &str| {
         value
             .get(key)
@@ -230,7 +267,7 @@ fn report_from_json(value: &Json) -> Result<PairReport, ArtifactError> {
     Ok(report)
 }
 
-fn failure_to_json(failure: &TrialFailure) -> Json {
+pub(crate) fn failure_to_json(failure: &TrialFailure) -> Json {
     Json::obj(vec![
         ("pair", pair_to_json(&failure.pair)),
         ("seed", Json::u64(failure.seed)),
@@ -247,7 +284,7 @@ fn failure_to_json(failure: &TrialFailure) -> Json {
     ])
 }
 
-fn failure_from_json(value: &Json) -> Result<TrialFailure, ArtifactError> {
+pub(crate) fn failure_from_json(value: &Json) -> Result<TrialFailure, ArtifactError> {
     let kind_tag = value
         .get("kind")
         .and_then(Json::as_str)
@@ -284,7 +321,7 @@ fn failure_kind_from_parts(
         .ok_or_else(|| ArtifactError::Malformed(format!("unknown failure kind '{tag}'")))
 }
 
-fn quarantine_to_json(entry: &QuarantinedPair) -> Json {
+pub(crate) fn quarantine_to_json(entry: &QuarantinedPair) -> Json {
     Json::obj(vec![
         ("pair", pair_to_json(&entry.pair)),
         ("seed", Json::u64(entry.seed)),
@@ -314,7 +351,7 @@ fn quarantine_reason_from_parts(
     }
 }
 
-fn quarantine_from_json(value: &Json) -> Result<QuarantinedPair, ArtifactError> {
+pub(crate) fn quarantine_from_json(value: &Json) -> Result<QuarantinedPair, ArtifactError> {
     let tag = value
         .get("reason")
         .and_then(Json::as_str)
@@ -338,6 +375,17 @@ fn quarantine_from_json(value: &Json) -> Result<QuarantinedPair, ArtifactError> 
     })
 }
 
+pub(crate) fn provenance_to_json(provenance: &Provenance) -> Json {
+    Json::str(provenance.tag())
+}
+
+pub(crate) fn provenance_from_json(value: &Json) -> Result<Provenance, ArtifactError> {
+    value
+        .as_str()
+        .and_then(Provenance::from_tag)
+        .ok_or_else(|| ArtifactError::Malformed("bad provenance tag".into()))
+}
+
 pub(crate) fn job_to_json(job: &JobOutcome) -> Json {
     Json::obj(vec![
         ("name", Json::str(&job.name)),
@@ -353,12 +401,7 @@ pub(crate) fn job_to_json(job: &JobOutcome) -> Json {
         ),
         (
             "provenance",
-            Json::Arr(
-                job.provenance
-                    .iter()
-                    .map(|p| Json::str(p.tag()))
-                    .collect(),
-            ),
+            Json::Arr(job.provenance.iter().map(provenance_to_json).collect()),
         ),
         (
             "reports",
@@ -410,11 +453,7 @@ fn job_from_json(value: &Json) -> Result<JobOutcome, ArtifactError> {
             .as_arr()
             .ok_or_else(|| ArtifactError::Malformed("bad provenance".into()))?
             .iter()
-            .map(|p| {
-                p.as_str()
-                    .and_then(Provenance::from_tag)
-                    .ok_or_else(|| ArtifactError::Malformed("bad provenance tag".into()))
-            })
+            .map(provenance_from_json)
             .collect::<Result<_, _>>()?,
         None => vec![Provenance::Dynamic; potential.len()],
     };
@@ -585,6 +624,21 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(Checkpoint::load(&path).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deeply_nested_legacy_checkpoint_is_an_error_not_a_crash() {
+        let dir = std::env::temp_dir().join(format!("campaign-nest-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.json");
+        // No CRC footer, so it is read as a legacy document and parsed.
+        std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+        let error = Checkpoint::load(&path).unwrap_err();
+        assert!(
+            matches!(&error, ArtifactError::Malformed(message) if message.contains("nesting")),
+            "{error}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,24 +1,33 @@
-//! Torn-write-tolerant durable state: the one write discipline every
+//! Torn-write-tolerant durable state: the write disciplines every
 //! campaign file goes through.
 //!
-//! A campaign's durable state (checkpoints, failure artifacts, the crash
-//! ledger) must survive a kill at an *arbitrary instant*. This module
-//! provides the two halves of that guarantee:
+//! A campaign's durable state (checkpoints, their journals, failure
+//! artifacts, the crash ledger) must survive a kill at an *arbitrary
+//! instant*. This module provides the pieces of that guarantee:
 //!
 //! * [`write_durable`] — temp file → `fsync` → atomic rename → best-effort
 //!   directory sync, with named failpoint sites (`<prefix>.write`,
 //!   `<prefix>.sync`, `<prefix>.rename`) on each step and **one retry**
 //!   with a fresh temp file on transient failure, so a single injected
-//!   `EIO` self-heals without a restart.
+//!   `EIO` self-heals without a restart. Whole documents — a checkpoint
+//!   base, an artifact, the ledger, a fresh journal's header — use it.
+//! * [`append_durable`] — append → `fdatasync` on an already-published
+//!   file, through the same `<prefix>.write` / `<prefix>.sync` sites. This
+//!   is the per-pair checkpoint commit ([`crate::journal`]); it has no
+//!   retry of its own because its caller's fallback is a full
+//!   [`write_durable`] rewrite.
 //! * [`seal`] / [`unseal`] — a CRC-32 footer (`#crc32=XXXXXXXX`) appended
 //!   to every document, so a *published* torn file (short write + crash,
 //!   or a lying disk) is detected at read time and sidelined by the
 //!   recovery scan instead of being trusted or panicking the loader.
+//!   Journal records carry their own per-line CRC for the same reason.
 //!
 //! The rename is what makes the write atomic; the fsync before it is what
 //! makes the rename meaningful (no file visible with unwritten contents);
 //! the CRC is the backstop for the failure modes fsync cannot promise
-//! away.
+//! away. An append is not atomic at all — a crash can leave any prefix of
+//! it — which is why the journal reader trusts only whole, CRC-valid
+//! records.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -175,6 +184,32 @@ fn write_once(path: &Path, site_prefix: &str, bytes: &[u8]) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Appends `bytes` to `file` and makes them durable with `fdatasync`,
+/// emulating any fault scheduled on `<site_prefix>.{write,sync}`. There is
+/// no retry: callers fall back to a full [`write_durable`] rewrite.
+///
+/// As in [`write_durable`], a scheduled *short write* is not an error: the
+/// truncated bytes are appended and synced, like a torn append surviving
+/// a crash, and the reader's per-record CRC must catch it.
+///
+/// # Errors
+///
+/// Returns the underlying (or injected) [`io::Error`].
+pub fn append_durable(file: &mut File, site_prefix: &str, bytes: &[u8]) -> io::Result<()> {
+    let write_site = format!("{site_prefix}.write");
+    let payload: &[u8] = match faults::hit(&write_site) {
+        faults::Fault::None => bytes,
+        faults::Fault::Error => return Err(injected(&write_site)),
+        faults::Fault::ShortWrite(keep) => &bytes[..bytes.len().min(keep as usize)],
+    };
+    file.write_all(payload)?;
+    let sync_site = format!("{site_prefix}.sync");
+    match faults::hit(&sync_site) {
+        faults::Fault::Error => Err(injected(&sync_site)),
+        _ => file.sync_data(),
+    }
 }
 
 #[cfg(test)]

@@ -119,12 +119,23 @@ impl Json {
     /// Serializes with two-space indentation and a trailing newline.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Serializes on one line with no whitespace at all (no trailing
+    /// newline either): the form of a line-framed journal record.
+    pub fn to_line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value; `indent` is the current depth when pretty-printing,
+    /// `None` for the single-line form.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|depth| depth + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -143,12 +154,10 @@ impl Json {
                     if index > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
+                    newline(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                pad(out, indent);
+                newline(out, indent);
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -161,23 +170,28 @@ impl Json {
                     if index > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    pad(out, indent + 1);
+                    newline(out, inner);
                     write_string(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
+                    out.push(':');
+                    if inner.is_some() {
+                        out.push(' ');
+                    }
+                    value.write(out, inner);
                 }
-                out.push('\n');
-                pad(out, indent);
+                newline(out, indent);
                 out.push('}');
             }
         }
     }
 }
 
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// Starts a pretty-printed line at `indent`; nothing in the one-line form.
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -216,12 +230,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The campaign's own
+/// documents nest fewer than 10 levels; the limit only exists so that a
+/// hostile or corrupt input (a megabyte of `[`) is a [`ParseError`]
+/// instead of a stack overflow in the recursive-descent parser.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing whitespace is allowed, trailing
-/// content is an error.
+/// content is an error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -235,6 +256,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -283,8 +306,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') | Some(b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a value")),
         }
@@ -464,6 +498,31 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} tail").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn one_line_form_has_no_whitespace_and_parses_back() {
+        let value = Json::obj(vec![
+            ("a", Json::Arr(vec![Json::u64(1), Json::str("x y\n")])),
+            ("b", Json::Obj(vec![])),
+            ("c", Json::Null),
+        ]);
+        let line = value.to_line();
+        assert_eq!(line, "{\"a\":[1,\"x y\\n\"],\"b\":{},\"c\":null}");
+        assert_eq!(parse(&line).unwrap(), value);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(1_000_000);
+        let error = parse(&hostile).unwrap_err();
+        assert!(error.message.contains("nesting"), "{error}");
+        assert_eq!(error.offset, MAX_DEPTH);
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().message.contains("nesting"));
+        // Exactly at the limit still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

@@ -21,11 +21,15 @@
 //!   deterministically, because an execution is a pure function of
 //!   `(program, race set, config)` (paper §2.2).
 //! * **Checkpoint/resume** — campaign state (completed [`PairReport`]s,
-//!   quarantine decisions, the pair cursor) is written atomically to disk
-//!   after every pair; a killed campaign resumes from the checkpoint and
-//!   finishes with reports identical to an uninterrupted run.
+//!   quarantine decisions, the pair cursor) is made durable after every
+//!   pair; a killed campaign resumes from the checkpoint and finishes with
+//!   reports identical to an uninterrupted run. A pair's commit appends
+//!   one CRC-framed delta record to the checkpoint's [`journal`]; the full
+//!   checkpoint is rewritten only when the journal outgrows it, and at the
+//!   end of every run, so a commit costs one pair, not the whole campaign.
 //! * **Crash safety** — every durable write goes through [`durable`]
-//!   (temp file, fsync, atomic rename, CRC-32 footer) and is instrumented
+//!   (temp file, fsync, atomic rename, CRC-32 footer; journal appends are
+//!   fdatasynced and framed with a per-record CRC) and is instrumented
 //!   with deterministic failpoints (the `faults` crate, compiled out of
 //!   release builds); startup runs a [`recovery`] scan that sidelines torn
 //!   files instead of trusting them; and the [`supervisor`] loop restarts
@@ -62,6 +66,7 @@
 pub mod artifact;
 pub mod checkpoint;
 pub mod durable;
+pub mod journal;
 pub mod json;
 pub mod recovery;
 pub mod supervisor;
@@ -76,6 +81,7 @@ pub use supervisor::{supervise, ChildExit, CrashLedger, SupervisorOptions, Super
 use crate::json::Json;
 use detector::{DetectorImpl, PredictConfig, RacePair};
 use interp::SetupError;
+use journal::CheckpointWriter;
 use racefuzzer::{
     fuzz_pair_once, fuzz_pair_once_cached, CandidateSource, EntryCache, FuzzConfig, FuzzOutcome,
     PairCache, PairReport, ParallelOptions, Provenance, SnapshotMode, SnapshotOptions,
@@ -560,6 +566,13 @@ struct PairRun {
     fatal: Option<String>,
 }
 
+/// What one [`Campaign::run_with`] invocation threads through its pair
+/// loops: the checkpoint writer and the count of pairs it committed.
+struct RunProgress {
+    checkpoint: CheckpointWriter,
+    pairs_this_run: usize,
+}
+
 /// How a job's pair loop ended.
 enum PairsProgress {
     /// Every pair is committed.
@@ -602,7 +615,19 @@ impl Campaign {
         }
         let ledger = self.load_ledger(&mut events);
         let (mut jobs, resumed) = self.restore_or_fresh(&mut events);
-        let mut pairs_this_run = 0usize;
+        let mut progress = RunProgress {
+            checkpoint: CheckpointWriter::new(
+                self.options.checkpoint_path.clone(),
+                self.checkpoint_header(),
+            ),
+            pairs_this_run: 0,
+        };
+        if resumed {
+            // Fold the loaded journal into a fresh base, so this run's
+            // records extend a journal bound to it.
+            progress.checkpoint.compact(&jobs)?;
+        }
+        let mut interrupted = false;
 
         for index in 0..self.jobs.len() {
             if jobs[index].done {
@@ -620,11 +645,11 @@ impl Campaign {
                     Err(message) => {
                         jobs[index].error = Some(message);
                         jobs[index].done = true;
-                        self.save_checkpoint(&jobs)?;
+                        progress.checkpoint.save(&jobs)?;
                         continue;
                     }
                 }
-                self.save_checkpoint(&jobs)?;
+                progress.checkpoint.save(&jobs)?;
             }
 
             // The static filter is rebuilt (not checkpointed) on resume: it
@@ -637,14 +662,14 @@ impl Campaign {
                 }
             };
 
-            let progress = if self.options.parallel.is_parallel() {
+            let pairs = if self.options.parallel.is_parallel() {
                 self.run_pairs_parallel(
                     runner,
                     index,
                     &mut jobs,
                     filter.as_ref(),
                     &ledger,
-                    &mut pairs_this_run,
+                    &mut progress,
                 )?
             } else {
                 self.run_pairs_sequential(
@@ -653,33 +678,30 @@ impl Campaign {
                     &mut jobs,
                     filter.as_ref(),
                     &ledger,
-                    &mut pairs_this_run,
+                    &mut progress,
                 )?
             };
-            match progress {
+            match pairs {
                 PairsProgress::Finished => {
                     if !jobs[index].done {
                         jobs[index].done = true;
-                        self.save_checkpoint(&jobs)?;
+                        progress.checkpoint.save(&jobs)?;
                     }
                 }
                 PairsProgress::JobStopped => {}
                 PairsProgress::Interrupted => {
-                    return Ok(CampaignReport {
-                        jobs,
-                        interrupted: true,
-                        resumed,
-                        detector: self.options.predict.detector,
-                        engine: self.options.fuzz.engine,
-                        recovery: events,
-                    });
+                    interrupted = true;
+                    break;
                 }
             }
         }
 
+        // Leave the whole state in the base: the bytes a full rewrite after
+        // the last commit would have written.
+        progress.checkpoint.finish(&jobs)?;
         Ok(CampaignReport {
             jobs,
-            interrupted: false,
+            interrupted,
             resumed,
             detector: self.options.predict.detector,
             engine: self.options.fuzz.engine,
@@ -731,7 +753,7 @@ impl Campaign {
         jobs: &mut [JobOutcome],
         filter: Option<&StaticRaceFilter>,
         ledger: &CrashLedger,
-        pairs_this_run: &mut usize,
+        progress: &mut RunProgress,
     ) -> Result<PairsProgress, ArtifactError> {
         let job = &self.jobs[index];
         let entry_cache = self.entry_cache();
@@ -739,13 +761,13 @@ impl Campaign {
             let target = jobs[index].potential[jobs[index].next_pair];
             if let Some(crashes) = ledger.lookup(&jobs[index].name, jobs[index].next_pair) {
                 self.commit_crashloop(&mut jobs[index], target, crashes);
-                self.save_checkpoint(jobs)?;
+                progress.checkpoint.save(jobs)?;
                 continue;
             }
             if self.options.static_filter == StaticFilterMode::Prune {
                 if let Some(reason) = filter.and_then(|f| f.refute(&job.program, &target)) {
                     self.commit_pruned(&mut jobs[index], target, reason);
-                    self.save_checkpoint(jobs)?;
+                    progress.checkpoint.save(jobs)?;
                     continue;
                 }
             }
@@ -762,13 +784,13 @@ impl Campaign {
             if let Some(message) = fatal {
                 jobs[index].error = Some(message);
                 jobs[index].done = true;
-                self.save_checkpoint(jobs)?;
+                progress.checkpoint.save(jobs)?;
                 return Ok(PairsProgress::JobStopped);
             }
             jobs[index].next_pair += 1;
-            self.save_checkpoint(jobs)?;
-            *pairs_this_run += 1;
-            if Some(*pairs_this_run) == self.options.stop_after_pairs {
+            progress.checkpoint.save(jobs)?;
+            progress.pairs_this_run += 1;
+            if Some(progress.pairs_this_run) == self.options.stop_after_pairs {
                 return Ok(PairsProgress::Interrupted);
             }
         }
@@ -788,7 +810,7 @@ impl Campaign {
         jobs: &mut [JobOutcome],
         filter: Option<&StaticRaceFilter>,
         ledger: &CrashLedger,
-        pairs_this_run: &mut usize,
+        progress: &mut RunProgress,
     ) -> Result<PairsProgress, ArtifactError> {
         let job = &self.jobs[index];
         let start = jobs[index].next_pair;
@@ -884,12 +906,12 @@ impl Campaign {
                 let target = targets[offset];
                 if let Some(crashes) = crash_looped[offset] {
                     self.commit_crashloop(&mut jobs[index], target, crashes);
-                    self.save_checkpoint(jobs)?;
+                    progress.checkpoint.save(jobs)?;
                     continue;
                 }
                 if let Some(reason) = refuted[offset] {
                     self.commit_pruned(&mut jobs[index], target, reason);
-                    self.save_checkpoint(jobs)?;
+                    progress.checkpoint.save(jobs)?;
                     continue;
                 }
                 let run = loop {
@@ -936,13 +958,13 @@ impl Campaign {
                     stop.store(true, Ordering::Relaxed);
                     jobs[index].error = Some(message);
                     jobs[index].done = true;
-                    self.save_checkpoint(jobs)?;
+                    progress.checkpoint.save(jobs)?;
                     return Ok(PairsProgress::JobStopped);
                 }
                 jobs[index].next_pair += 1;
-                self.save_checkpoint(jobs)?;
-                *pairs_this_run += 1;
-                if Some(*pairs_this_run) == self.options.stop_after_pairs {
+                progress.checkpoint.save(jobs)?;
+                progress.pairs_this_run += 1;
+                if Some(progress.pairs_this_run) == self.options.stop_after_pairs {
                     // Workers stop stealing; whatever they finish after this
                     // point is discarded, and the resumed run redoes it —
                     // repeated work is deterministic work.
@@ -1083,12 +1105,7 @@ impl Campaign {
         let Some(checkpoint) = recovery::recover_checkpoint(path, events) else {
             return (fresh, false);
         };
-        if checkpoint.header
-            != (CheckpointHeader {
-                trials_per_pair: self.options.trials_per_pair,
-                base_seed: self.options.base_seed,
-            })
-        {
+        if checkpoint.header != self.checkpoint_header() {
             return (fresh, false);
         }
         // Adopt saved progress job-by-job where name and program digest
@@ -1113,24 +1130,11 @@ impl Campaign {
         (jobs, resumed_any)
     }
 
-    fn save_checkpoint(&self, jobs: &[JobOutcome]) -> Result<(), ArtifactError> {
-        let Some(path) = &self.options.checkpoint_path else {
-            return Ok(());
-        };
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|error| ArtifactError::Io(error.to_string()))?;
-            }
+    fn checkpoint_header(&self) -> CheckpointHeader {
+        CheckpointHeader {
+            trials_per_pair: self.options.trials_per_pair,
+            base_seed: self.options.base_seed,
         }
-        Checkpoint {
-            header: CheckpointHeader {
-                trials_per_pair: self.options.trials_per_pair,
-                base_seed: self.options.base_seed,
-            },
-            jobs: jobs.to_vec(),
-        }
-        .save(path)
     }
 
     /// Deterministically replays a failure artifact against this campaign's

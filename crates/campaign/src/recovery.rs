@@ -1,7 +1,7 @@
 //! Startup recovery scan: sideline what a crash tore, sweep what it left.
 //!
 //! Every campaign start walks its durable state *before* trusting any of
-//! it. Three things can be on disk after a kill:
+//! it. Four things can be on disk after a kill:
 //!
 //! 1. A stale `*.tmp` staging file — the crash hit between temp-file write
 //!    and rename. The published file is intact; the temp file is garbage
@@ -10,7 +10,13 @@
 //!    corruption. The CRC check ([`crate::durable::unseal`]) catches it;
 //!    the file is renamed to `<name>.corrupt-N` (never deleted — it is
 //!    evidence) and the campaign redoes the lost pairs deterministically.
-//! 3. Healthy files, which load normally.
+//! 3. A checkpoint journal whose replay stopped at a torn, CRC-invalid or
+//!    inconsistent record ([`crate::journal`]). The records before it were
+//!    applied — a state the campaign really passed through — and the
+//!    journal is sidelined like any corrupt file.
+//! 4. Healthy files, which load normally. A journal bound to a different
+//!    base (a crash inside a compaction) is stale, not corrupt: it is
+//!    ignored and replaced by the resumed run's first compaction.
 //!
 //! Nothing in this module panics on bad input: a corrupt file is an
 //! *expected* input after a crash, and the whole point of the campaign's
@@ -20,6 +26,7 @@
 use crate::artifact::FailureArtifact;
 use crate::checkpoint::Checkpoint;
 use crate::durable;
+use crate::journal;
 use crate::ArtifactError;
 use std::path::{Path, PathBuf};
 
@@ -96,14 +103,28 @@ pub fn sweep_tmp(path: &Path, events: &mut Vec<RecoveryEvent>) {
 }
 
 /// Loads the checkpoint at `path`, sidelining it (and returning `None`) if
-/// it is torn or corrupt. A missing file is simply `None` with no event.
+/// its base is torn or corrupt. A missing file is simply `None` with no
+/// event. A journal with a bad record is sidelined too, after the records
+/// before it have been applied.
 pub fn recover_checkpoint(path: &Path, events: &mut Vec<RecoveryEvent>) -> Option<Checkpoint> {
     sweep_tmp(path, events);
+    let journal = journal::journal_path(path);
+    sweep_tmp(&journal, events);
     if !path.exists() {
         return None;
     }
-    match Checkpoint::load(path) {
-        Ok(checkpoint) => Some(checkpoint),
+    match Checkpoint::load_journaled(path) {
+        Ok((checkpoint, None)) => Some(checkpoint),
+        Ok((checkpoint, Some(reason))) => {
+            if sideline(&journal).is_ok() {
+                events.push(RecoveryEvent {
+                    path: journal,
+                    action: RecoveryAction::SidelinedCorrupt,
+                    reason,
+                });
+            }
+            Some(checkpoint)
+        }
         Err(error) => {
             if sideline(path).is_ok() {
                 events.push(RecoveryEvent {

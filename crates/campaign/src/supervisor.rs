@@ -491,6 +491,71 @@ mod tests {
     }
 
     #[test]
+    fn cursor_advances_through_journal_records_between_compactions() {
+        use crate::checkpoint::CheckpointHeader;
+        use crate::journal::CheckpointWriter;
+        use crate::JobOutcome;
+        use cil::flat::InstrId;
+        use detector::RacePair;
+        use racefuzzer::{PairReport, Provenance};
+
+        let dir = scratch("journal-cursor");
+        let opts = SupervisorOptions {
+            max_restarts: 20,
+            log_path: Some(dir.join("recovery.log")),
+            ..options(&dir)
+        };
+        let potential: Vec<RacePair> = (0..40)
+            .map(|i| RacePair::new(InstrId(i), InstrId(i + 100)))
+            .collect();
+        let mut jobs = vec![JobOutcome {
+            name: "moving".to_owned(),
+            entry: "main".to_owned(),
+            program_digest: 1,
+            predicted: true,
+            provenance: vec![Provenance::Dynamic; potential.len()],
+            potential,
+            reports: Vec::new(),
+            quarantined: Vec::new(),
+            soundness_bugs: Vec::new(),
+            failures: Vec::new(),
+            next_pair: 0,
+            error: None,
+            done: false,
+        }];
+        let header = CheckpointHeader {
+            trials_per_pair: 5,
+            base_seed: 1,
+        };
+        let mut writer = CheckpointWriter::new(Some(opts.checkpoint_path.clone()), header);
+        writer.compact(&jobs).unwrap();
+        let base = std::fs::read(&opts.checkpoint_path).unwrap();
+        // Each crashing attempt commits one pair as a journal record and
+        // never compacts: only the journal shows the progress.
+        let outcome = supervise(
+            &mut |attempt: u32| {
+                let target = jobs[0].potential[jobs[0].next_pair];
+                jobs[0].reports.push(PairReport::empty(target));
+                jobs[0].next_pair += 1;
+                writer.save(&jobs).unwrap();
+                Ok(if attempt < 6 {
+                    ChildExit::Crashed("abort".to_owned())
+                } else {
+                    ChildExit::Clean
+                })
+            },
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(std::fs::read(&opts.checkpoint_path).unwrap(), base);
+        assert_eq!(outcome.crashes, 5);
+        assert_eq!(outcome.quarantined, 0, "every crash made progress");
+        let log = std::fs::read_to_string(dir.join("recovery.log")).unwrap();
+        assert_eq!(log.matches("progressed=true").count(), 5, "{log}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn progress_resets_the_crash_count() {
         let dir = scratch("progress");
         let opts = SupervisorOptions {

@@ -4,7 +4,7 @@
 //!
 //! The harness drives the `campaign-torture` binary (built with live
 //! failpoints via dev-dependency feature unification — see the root
-//! `Cargo.toml`) through three sweeps per worker configuration:
+//! `Cargo.toml`) through four sweeps per worker configuration:
 //!
 //! * **kill sweep** — attempt *i* schedules `abort` at hit *i* of every
 //!   durable-write site, so the process dies at the *i*-th durable
@@ -15,9 +15,13 @@
 //!   artifact, then an abort kills the process before the next save can
 //!   replace it. Recovery must sideline the torn file and redo the lost
 //!   work deterministically.
+//! * **journal sweep** — the same for the per-pair commit: a short write
+//!   tears a checkpoint-journal record and an abort follows; then kills
+//!   land inside compactions, before the base rename and between it and
+//!   the journal reset.
 //! * **error sweep** — injected I/O errors on every site; the durable
-//!   writer's retry absorbs them and the run completes cleanly with no
-//!   supervisor involvement.
+//!   writer's retry (for a journal append, a fallback compaction) absorbs
+//!   them and the run completes cleanly with no supervisor involvement.
 //!
 //! Across both worker configurations (1 and 4) and four workloads the
 //! sweeps schedule well over 200 fault points; the test counts them and
@@ -217,6 +221,62 @@ fn torture_config(workers: usize) -> usize {
         "[{label}] torn sweep: recovered report differs from baseline"
     );
 
+    // Journal sweep: the torn sweep aimed at the per-pair commit, from a
+    // fresh state directory. A fresh run's first checkpoint save is a
+    // compaction (write hits 1 and 2: the base, then the fresh journal's
+    // header) and so is a resumed run's start, so checkpoint writes from
+    // hit 3 on are journal appends. Tear one, then kill the process at the
+    // next hit: recovery must apply the records before the tear and
+    // sideline the journal. Then kill inside later compactions: before the
+    // base rename (the old base and journal must replay), and between the
+    // base rename and the journal reset (the old journal is stale and must
+    // be ignored, not applied twice).
+    let journal_dir = scratch(&format!("{label}-journal"));
+    let journal_log = journal_dir.join("faults.log");
+    let journal_schedules: Vec<Schedule> = vec![
+        Schedule::new(vec![
+            plan("campaign.checkpoint.write", 4, FaultAction::ShortWrite(17)),
+            plan("campaign.checkpoint.write", 5, FaultAction::Abort),
+        ]),
+        Schedule::new(vec![
+            plan("campaign.checkpoint.write", 5, FaultAction::ShortWrite(100)),
+            plan("campaign.checkpoint.write", 6, FaultAction::Abort),
+        ]),
+        Schedule::new(vec![plan(
+            "campaign.checkpoint.rename",
+            3,
+            FaultAction::Abort,
+        )]),
+        Schedule::new(vec![plan(
+            "campaign.checkpoint.rename",
+            4,
+            FaultAction::Abort,
+        )]),
+    ];
+    scheduled += journal_schedules.iter().map(|s| s.plans().len()).sum::<usize>();
+    let (journal_crashes, _, recovered) =
+        supervised_sweep(&journal_dir, workers, &journal_log, |attempt| {
+            journal_schedules.get(attempt as usize - 1).cloned()
+        });
+    assert_eq!(
+        journal_crashes as usize,
+        journal_schedules.len(),
+        "[{label}] every journal-sweep schedule kills its attempt"
+    );
+    assert!(
+        std::fs::read_dir(&journal_dir).unwrap().any(|entry| entry
+            .unwrap()
+            .file_name()
+            .to_string_lossy()
+            .starts_with("checkpoint.json.journal.corrupt-")),
+        "[{label}] the torn journal record must be detected and sidelined"
+    );
+    assert_eq!(
+        recovered,
+        expected,
+        "[{label}] journal sweep: recovered report differs from baseline"
+    );
+
     // Error sweep: injected I/O errors; the one-retry durable writer
     // self-heals, so each run completes cleanly with no supervisor. One
     // stage (write/sync/rename) per run, because the stages of a single
@@ -266,7 +326,7 @@ fn torture_config(workers: usize) -> usize {
         "each kill-sweep crash corresponds to a fired abort"
     );
 
-    for dir in [base_dir, kill_dir, torn_dir, err_dir] {
+    for dir in [base_dir, kill_dir, torn_dir, journal_dir, err_dir] {
         std::fs::remove_dir_all(dir).ok();
     }
     scheduled
