@@ -54,46 +54,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// CPU time consumed by the calling thread, via
-/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`.
-///
-/// Throughput gates compare two single-threaded measurements taken seconds
-/// apart, so wall-clock deltas fold in preemption by whatever else the
-/// machine is running — enough noise (±20% observed) to flip a 2x gate in
-/// either direction. Thread CPU time charges only cycles this thread
-/// actually executed. Falls back to wall clock where the clock is
-/// unavailable.
-#[cfg(target_os = "linux")]
-pub fn thread_cpu_time() -> Duration {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    extern "C" {
-        fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
-    }
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-    let mut ts = Timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    // SAFETY: `ts` is a valid, writable `timespec`; the clock id is a
-    // Linux constant. On failure the zeroed value stands (never observed
-    // for this always-supported clock).
-    unsafe {
-        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts);
-    }
-    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
-}
-
-/// Wall-clock fallback for platforms without a thread CPU clock.
-#[cfg(not(target_os = "linux"))]
-pub fn thread_cpu_time() -> Duration {
-    static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    START.get_or_init(Instant::now).elapsed()
-}
-
 /// The process's peak resident set size in KiB (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable.
 pub fn peak_rss_kib() -> Option<u64> {

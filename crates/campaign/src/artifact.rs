@@ -20,9 +20,9 @@ use std::time::Duration;
 /// the per-job `soundness_bugs` list.
 /// Version 3: CRC-32 footer on every durable document (torn-write
 /// detection), the `max_heap_cells` replay knob, per-report
-/// `memory_trials`, and the `worker_loss` failure kind. Still v3: the
-/// optional `engine` replay knob (absent = `bytecode`) — older readers
-/// ignore it, so no bump.
+/// `memory_trials`, and the `worker_loss` failure kind. Some v3 artifacts
+/// also carry an `engine` key from when the trial engine was selectable;
+/// trials now always run on the bytecode engine, so readers ignore it.
 pub const FORMAT_VERSION: u64 = 3;
 
 /// Oldest format version this build still reads. Version 2 documents have
@@ -211,10 +211,6 @@ pub struct FailureArtifact {
     /// [`FuzzConfig::max_heap_cells`] of the failing trial (absent in
     /// format v2 artifacts, which predate the heap budget).
     pub max_heap_cells: Option<u64>,
-    /// [`FuzzConfig::engine`] of the failing trial, so an interpreter bug
-    /// in one engine replays under that engine. Artifacts that predate the
-    /// knob load as [`interp::ExecEngine::Bytecode`] (the default engine).
-    pub engine: interp::ExecEngine,
     /// Which candidate source proposed the target pair (artifacts that
     /// predate static candidate generation load as
     /// [`Provenance::Dynamic`]).
@@ -234,7 +230,6 @@ impl FailureArtifact {
             location_precise: self.location_precise,
             switch_only_at_sync: self.switch_only_at_sync,
             max_heap_cells: self.max_heap_cells,
-            engine: self.engine,
         }
     }
 
@@ -281,7 +276,6 @@ impl FailureArtifact {
                 },
             ),
             ("provenance", Json::str(self.provenance.tag())),
-            ("engine", Json::str(self.engine.name())),
         ])
     }
 
@@ -353,11 +347,6 @@ impl FailureArtifact {
                 .and_then(Json::as_str)
                 .and_then(Provenance::from_tag)
                 .unwrap_or(Provenance::Dynamic),
-            engine: value
-                .get("engine")
-                .and_then(Json::as_str)
-                .and_then(interp::ExecEngine::parse)
-                .unwrap_or_default(),
         })
     }
 
@@ -469,7 +458,6 @@ mod tests {
             wall_clock_ms: Some(250),
             max_heap_cells: Some(1 << 20),
             provenance: Provenance::Both,
-            engine: interp::ExecEngine::Bytecode,
         }
     }
 
@@ -514,9 +502,7 @@ mod tests {
         let mut value = sample().to_json();
         if let Json::Obj(fields) = &mut value {
             fields[0].1 = Json::u64(2);
-            fields.retain(|(key, _)| {
-                key != "max_heap_cells" && key != "provenance" && key != "engine"
-            });
+            fields.retain(|(key, _)| key != "max_heap_cells" && key != "provenance");
         }
         let dir = std::env::temp_dir().join(format!("artifact-v2-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -79,7 +79,7 @@ pub use recovery::{RecoveryAction, RecoveryEvent};
 pub use supervisor::{supervise, ChildExit, CrashLedger, SupervisorOptions, SupervisorOutcome};
 
 use crate::json::Json;
-use detector::{DetectorImpl, PredictConfig, RacePair};
+use detector::{PredictConfig, RacePair};
 use interp::SetupError;
 use journal::CheckpointWriter;
 use racefuzzer::{
@@ -384,17 +384,6 @@ pub struct CampaignReport {
     pub interrupted: bool,
     /// `true` if progress was restored from a checkpoint.
     pub resumed: bool,
-    /// Which Phase-1 engine produced the candidate pairs (from
-    /// [`CampaignOptions::predict`]); recorded so campaign artifacts are
-    /// attributable when comparing epoch vs naive runs.
-    pub detector: DetectorImpl,
-    /// Which Phase-2 execution engine ran the trials (from
-    /// [`racefuzzer::FuzzConfig::engine`]). Attribution only: the engines
-    /// are observably identical by contract, so — unlike `detector`, which
-    /// determines the candidate set — this is excluded from
-    /// [`CampaignReport::canonical_json`], keeping canonical bytes
-    /// engine-independent (the differential suite's equality oracle).
-    pub engine: interp::ExecEngine,
     /// What the startup recovery scan cleaned up (stale temp files, torn
     /// checkpoints/artifacts sidelined to `.corrupt-N`). Run-relative, so
     /// excluded from [`CampaignReport::canonical_json`].
@@ -437,10 +426,14 @@ impl CampaignReport {
     /// killed and resumed a hundred times produces the same canonical
     /// bytes as an uninterrupted one — the crash-torture harness's
     /// equality oracle.
+    ///
+    /// The `"detector":"epoch"` entry names the one Phase-1 engine. It is
+    /// kept so the bytes match those of reports written when the engine
+    /// was selectable.
     pub fn canonical_json(&self) -> String {
         Json::obj(vec![
             ("format_version", Json::u64(artifact::FORMAT_VERSION)),
-            ("detector", Json::str(self.detector.tag())),
+            ("detector", Json::str("epoch")),
             ("interrupted", Json::Bool(self.interrupted)),
             (
                 "jobs",
@@ -703,8 +696,6 @@ impl Campaign {
             jobs,
             interrupted,
             resumed,
-            detector: self.options.predict.detector,
-            engine: self.options.fuzz.engine,
             recovery: events,
         })
     }
@@ -1079,7 +1070,6 @@ impl Campaign {
             switch_only_at_sync: self.options.fuzz.switch_only_at_sync,
             wall_clock_ms: artifact::duration_ms(self.options.fuzz.wall_clock),
             max_heap_cells: self.options.fuzz.max_heap_cells,
-            engine: self.options.fuzz.engine,
             // The failing pair is the one currently being fuzzed — its
             // report has not been committed yet, so its index is the
             // report count. Pre-provenance jobs default to Dynamic.
@@ -1489,6 +1479,27 @@ mod tests {
         assert_eq!(
             format!("{:?}", report.jobs[0].reports),
             format!("{:?}", plain.pairs)
+        );
+    }
+
+    #[test]
+    fn canonical_json_keeps_its_bytes() {
+        // Written by the build in which the Phase-1 detector and the trial
+        // engine were still options; the `"detector": "epoch"` entry
+        // stays, so old and new reports compare byte for byte.
+        let options = CampaignOptions {
+            trials_per_pair: 4,
+            ..CampaignOptions::default()
+        };
+        let report = Campaign::new(
+            vec![CampaignJob::new("fig1", figure1_like(), "main")],
+            options,
+        )
+        .run()
+        .unwrap();
+        assert_eq!(
+            report.canonical_json(),
+            include_str!("../tests/fixtures/canonical_report_v3.json")
         );
     }
 

@@ -1,8 +1,9 @@
 //! Crash-safety satellites: corrupt-artifact handling, v2 → v3 checkpoint
-//! migration, and the heap-cell budget as a reported verdict.
+//! migration, artifacts from builds with a selectable trial engine, and the
+//! heap-cell budget as a reported verdict.
 
 use campaign::{
-    ArtifactError, Campaign, CampaignJob, CampaignOptions, FailureArtifact, FailureKind,
+    durable, ArtifactError, Campaign, CampaignJob, CampaignOptions, FailureArtifact, FailureKind,
     QuarantineReason,
 };
 use racefuzzer::FuzzConfig;
@@ -207,6 +208,44 @@ fn v2_checkpoint_resumes_under_format_version_3() {
     let text = std::fs::read_to_string(&checkpoint).unwrap();
     assert!(text.contains("\"format_version\": 3"));
     assert!(text.contains("#crc32="), "v3 checkpoints carry a CRC footer");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A v3 artifact as builds with a selectable trial engine wrote it: a
+/// step-budget failure of [`budget_buster`] recorded under the tree-walk
+/// engine, so it carries `"engine": "tree_walk"`.
+const TREE_WALK_ARTIFACT: &str = include_str!("fixtures/artifact_v3_tree_walk.json");
+
+#[test]
+fn artifacts_with_an_engine_key_load_replay_and_drop_it() {
+    let dir = temp_dir("engine-key");
+    let campaign = Campaign::new(
+        vec![CampaignJob::new("buster", budget_buster(), "main")],
+        CampaignOptions::default(),
+    );
+    let body = durable::unseal(TREE_WALK_ARTIFACT).unwrap().body();
+    assert!(body.contains("\"engine\": \"tree_walk\""));
+    let unknown_tag = durable::seal(&body.replace("\"tree_walk\"", "\"jit\""));
+    for (name, text) in [
+        ("tree_walk.json", TREE_WALK_ARTIFACT),
+        ("unknown_tag.json", unknown_tag.as_str()),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let artifact = FailureArtifact::load(&path).unwrap();
+        assert_eq!(artifact.kind, FailureKind::StepBudget, "{name}");
+        let reproduction = campaign.reproduce(&artifact).unwrap();
+        assert!(
+            reproduction.matches(&artifact),
+            "{name}: replays its step-budget failure"
+        );
+
+        // Re-saving writes the current format, which has no engine key.
+        artifact.save(&path).unwrap();
+        let resaved = std::fs::read_to_string(&path).unwrap();
+        assert!(!resaved.contains("\"engine\""), "{name}: {resaved}");
+        assert_eq!(FailureArtifact::load(&path).unwrap(), artifact, "{name}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

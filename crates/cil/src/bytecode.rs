@@ -184,42 +184,6 @@ pub enum Op {
     Fallback,
 }
 
-impl Op {
-    /// Stable kind index for per-opcode counters (`profile-ops`).
-    pub fn kind_index(&self) -> usize {
-        match self {
-            Op::Expr { .. } => 0,
-            Op::Assign { .. } => 1,
-            Op::LoadGlobal { .. } => 2,
-            Op::StoreGlobal { .. } => 3,
-            Op::LoadField { .. } => 4,
-            Op::StoreField { .. } => 5,
-            Op::LoadElem { .. } => 6,
-            Op::StoreElem { .. } => 7,
-            Op::Jump { .. } => 8,
-            Op::Branch { .. } => 9,
-            Op::Nop => 10,
-            Op::Fallback => 11,
-        }
-    }
-}
-
-/// Names parallel to [`Op::kind_index`], for opcode profiles.
-pub const OP_KIND_NAMES: [&str; 12] = [
-    "expr",
-    "assign",
-    "load_global",
-    "store_global",
-    "load_field",
-    "store_field",
-    "load_elem",
-    "store_elem",
-    "jump",
-    "branch",
-    "nop",
-    "fallback",
-];
-
 /// How an element index is recovered when resolving a footprint — the
 /// register(s) the access depends on.
 #[derive(Clone, Copy, Debug, PartialEq)]

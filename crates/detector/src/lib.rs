@@ -44,44 +44,11 @@ pub use shadow::EpochEngine;
 use interp::{run_with, Limits, Observer, RandomScheduler, RoundRobinScheduler, SetupError};
 use std::collections::BTreeSet;
 
-/// Which Phase-1 engine implementation executes the chosen [`Policy`].
-///
-/// Both implementations compute the **same candidate-pair set** on every
-/// trace (enforced by differential tests across all Table-1 workloads and
-/// randomly generated programs); they differ only in cost. The naive
-/// engine is kept as the oracle the fast engine is checked against, and as
-/// the baseline the `phase1_detector` benchmark gates on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum DetectorImpl {
-    /// [`EpochEngine`]: FastTrack-style epoch shadow memory — O(1)
-    /// happens-before fast paths, adaptive per-location representation,
-    /// interned locksets, no per-event allocation. The default.
-    #[default]
-    Epoch,
-    /// [`DetectorEngine`]: full vector clocks cloned into per-location
-    /// histories — the straightforward formulation, kept as a
-    /// differential-testing escape hatch.
-    Naive,
-}
-
-impl DetectorImpl {
-    /// Stable machine-readable name (benchmark JSON, reports).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            DetectorImpl::Epoch => "epoch",
-            DetectorImpl::Naive => "naive",
-        }
-    }
-}
-
 /// Configuration for [`predict_races`].
 #[derive(Clone, Debug)]
 pub struct PredictConfig {
     /// Detection policy (default: [`Policy::Hybrid`], as in the paper).
     pub policy: Policy,
-    /// Engine implementation (default: [`DetectorImpl::Epoch`]; use
-    /// [`DetectorImpl::Naive`] for differential testing).
-    pub detector: DetectorImpl,
     /// Seeds for additional randomly-scheduled observation runs. The
     /// detector also always performs one fair round-robin ("normal") run.
     /// More runs observe more code and predict more pairs.
@@ -94,7 +61,6 @@ impl Default for PredictConfig {
     fn default() -> Self {
         PredictConfig {
             policy: Policy::Hybrid,
-            detector: DetectorImpl::default(),
             seeds: vec![1, 2],
             limits: Limits::default(),
         }
@@ -126,19 +92,25 @@ pub fn predict_races(
     entry: &str,
     config: &PredictConfig,
 ) -> Result<Vec<RacePair>, SetupError> {
-    match config.detector {
-        DetectorImpl::Epoch => predict_with(program, entry, config, EpochEngine::new, |engine| {
-            engine.races().collect()
-        }),
-        DetectorImpl::Naive => predict_with(program, entry, config, DetectorEngine::new, |engine| {
-            engine.races().collect()
-        }),
-    }
+    predict_with(program, entry, config, EpochEngine::new, |engine| {
+        engine.races().collect()
+    })
 }
 
-/// The engine-generic prediction loop: one fair round-robin run plus one
-/// random run per seed, racing pairs unioned in stable order.
-fn predict_with<E: Observer>(
+/// The engine-generic prediction loop behind [`predict_races`]: one fair
+/// round-robin run plus one random run per seed, racing pairs unioned in
+/// stable order.
+///
+/// `new_engine` builds a fresh observer per run and `races` reads its
+/// racing pairs back. [`predict_races`] passes [`EpochEngine::new`]; the
+/// differential suites pass [`DetectorEngine::new`], the full-clock
+/// formulation the epoch engine is checked against.
+///
+/// # Errors
+///
+/// Returns [`SetupError`] if `entry` does not name a zero-argument
+/// procedure.
+pub fn predict_with<E: Observer>(
     program: &cil::Program,
     entry: &str,
     config: &PredictConfig,

@@ -238,7 +238,7 @@ impl LocIndex {
     }
 }
 
-/// The epoch-optimized Phase-1 engine ([`crate::DetectorImpl::Epoch`]).
+/// The epoch-optimized Phase-1 engine ([`crate::predict_races`] runs it).
 ///
 /// Drop-in replacement for [`crate::DetectorEngine`] as an [`Observer`]:
 /// same policies, same candidate-pair output, O(1) per-access

@@ -8,7 +8,7 @@
 //! racing-pair lists — not just equal sets modulo order, byte-identical
 //! stable-order output.
 
-use detector::{predict_races, DetectorEngine, DetectorImpl, EpochEngine, Policy, PredictConfig};
+use detector::{predict_races, predict_with, DetectorEngine, EpochEngine, Policy, PredictConfig};
 use interp::{run_with, Limits, RandomScheduler};
 use proptest::prelude::*;
 
@@ -105,7 +105,7 @@ proptest! {
     }
 
     #[test]
-    fn predict_races_is_detector_impl_independent(
+    fn predict_races_matches_the_naive_engine(
         threads in proptest::collection::vec(
             proptest::collection::vec(
                 (any::<u8>(), any::<bool>(), any::<u8>()),
@@ -117,17 +117,17 @@ proptest! {
         let source = render_program(&threads);
         let program = cil::compile(&source).expect("generated source compiles");
         for policy in [Policy::Hybrid, Policy::HappensBefore, Policy::Lockset] {
-            let predict = |detector| {
-                predict_races(&program, "main", &PredictConfig {
-                    policy,
-                    detector,
-                    ..PredictConfig::default()
-                })
-                .expect("prediction runs")
+            let config = PredictConfig {
+                policy,
+                ..PredictConfig::default()
             };
+            let naive = predict_with(&program, "main", &config, DetectorEngine::new, |engine| {
+                engine.races().collect()
+            })
+            .expect("prediction runs");
             prop_assert_eq!(
-                predict(DetectorImpl::Epoch),
-                predict(DetectorImpl::Naive),
+                predict_races(&program, "main", &config).expect("prediction runs"),
+                naive,
                 "{:?} diverged on:\n{}",
                 policy,
                 source

@@ -8,9 +8,26 @@
 //! construction; these tests pin that contract at every boundary where an
 //! order flip can happen.
 
-use detector::{predict_races, DetectorEngine, DetectorImpl, EpochEngine, Policy, PredictConfig, RacePair};
+use detector::{
+    predict_races, predict_with, DetectorEngine, EpochEngine, Policy, PredictConfig, RacePair,
+};
 use cil::flat::InstrId;
 use interp::{Event, Loc, Observer, ObjId, ThreadId};
+
+/// Phase-1 predictions from both engines: the epoch engine through the
+/// public [`predict_races`], the naive one through the generic loop.
+fn predictions(
+    program: &cil::Program,
+    config: &PredictConfig,
+) -> [(&'static str, Vec<RacePair>); 2] {
+    let naive = predict_with(program, "main", config, DetectorEngine::new, |engine| {
+        engine.races().collect()
+    });
+    [
+        ("epoch", predict_races(program, "main", config).unwrap()),
+        ("naive", naive.unwrap()),
+    ]
+}
 
 /// Two threads race through two distinct statements on the same global.
 /// Depending on which thread the scheduler runs first, the engine sees the
@@ -63,16 +80,14 @@ fn both_discovery_orders_yield_the_same_candidate() {
 #[test]
 fn prediction_output_is_canonical_and_duplicate_free() {
     let program = cil::compile(OPPOSITE_ORDERS).unwrap();
-    for detector in [DetectorImpl::Epoch, DetectorImpl::Naive] {
-        // Many seeds: the racing accesses are observed in both orders
-        // across these runs, and the union must still hold one candidate.
-        let config = PredictConfig {
-            detector,
-            seeds: (1..=16).collect(),
-            ..PredictConfig::default()
-        };
-        let races = predict_races(&program, "main", &config).unwrap();
-        assert_eq!(races.len(), 1, "{detector:?}: exactly one candidate");
+    // Many seeds: the racing accesses are observed in both orders across
+    // these runs, and the union must still hold one candidate.
+    let config = PredictConfig {
+        seeds: (1..=16).collect(),
+        ..PredictConfig::default()
+    };
+    for (detector, races) in predictions(&program, &config) {
+        assert_eq!(races.len(), 1, "{detector}: exactly one candidate");
         assert!(races[0].is_canonical());
         assert_eq!(
             races[0],
@@ -95,20 +110,15 @@ fn self_pair_survives_canonicalization() {
         }
     "#;
     let program = cil::compile(source).unwrap();
-    for detector in [DetectorImpl::Epoch, DetectorImpl::Naive] {
-        let config = PredictConfig {
-            detector,
-            ..PredictConfig::default()
-        };
-        let races = predict_races(&program, "main", &config).unwrap();
-        assert!(races.iter().all(RacePair::is_canonical), "{detector:?}");
+    for (detector, races) in predictions(&program, &PredictConfig::default()) {
+        assert!(races.iter().all(RacePair::is_canonical), "{detector}");
         // No (a, b)/(b, a) twins anywhere in the output.
         for (i, left) in races.iter().enumerate() {
             for right in &races[i + 1..] {
                 assert_ne!(
                     (left.first(), left.second()),
                     (right.second(), right.first()),
-                    "{detector:?}: symmetric duplicate in {races:?}"
+                    "{detector}: symmetric duplicate in {races:?}"
                 );
             }
         }

@@ -219,11 +219,6 @@ pub struct Limits {
     /// [`crate::exec::ExecError::MemoryBudget`] — a *reported* resource
     /// verdict, so an adversarial allocation loop cannot OOM the harness.
     pub max_heap_cells: Option<u64>,
-    /// Execution engine for the run; `None` keeps the execution's current
-    /// engine (the default, [`crate::ExecEngine::Bytecode`], for a fresh
-    /// one). Both engines are observably identical — this is a performance
-    /// knob, never a semantics knob.
-    pub engine: Option<crate::ExecEngine>,
 }
 
 impl Default for Limits {
@@ -232,7 +227,6 @@ impl Default for Limits {
             max_steps: 2_000_000,
             deadline: None,
             max_heap_cells: None,
-            engine: None,
         }
     }
 }
@@ -255,12 +249,6 @@ impl Limits {
     /// Builder-style: adds a heap-cell budget.
     pub fn with_heap_cells(mut self, max_heap_cells: u64) -> Self {
         self.max_heap_cells = Some(max_heap_cells);
-        self
-    }
-
-    /// Builder-style: selects the execution engine.
-    pub fn with_engine(mut self, engine: crate::ExecEngine) -> Self {
-        self.engine = Some(engine);
         self
     }
 }
@@ -361,9 +349,6 @@ pub fn drive(
     let started = limits.deadline.map(|_| std::time::Instant::now());
     if limits.max_heap_cells.is_some() {
         exec.set_heap_budget(limits.max_heap_cells);
-    }
-    if let Some(engine) = limits.engine {
-        exec.set_engine(engine);
     }
     let mut iterations: u64 = 0;
     loop {

@@ -14,8 +14,8 @@
 //! emissions, and reuses its error constructors verbatim, so the two
 //! engines produce identical event streams, identical `Thrown` payloads,
 //! and identical step counts under every schedule. The differential suite
-//! (`tests/engine_differential.rs`) holds the whole pipeline to
-//! byte-identical reports.
+//! (`tests/engine_differential.rs`) replays recorded Phase-2 schedules on
+//! both engines in lockstep and compares them state by state.
 //!
 //! Three pieces of engine-private state live on the `Execution`:
 //!
@@ -42,10 +42,10 @@ use std::sync::Arc;
 
 /// Which interpreter core [`Execution::step`] runs.
 ///
-/// Both engines are observably identical; the choice is a performance
-/// escape hatch (mirroring `DetectorImpl` for the race detectors), so any
-/// divergence between them is a bug by definition — and the differential
-/// suite treats it as one.
+/// Both engines are observably identical, so any divergence between them
+/// is a bug by definition. The whole pipeline runs the bytecode engine; the
+/// tree-walker is the reference the differential suites replay against,
+/// selected per execution with [`Execution::set_engine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecEngine {
     /// Flat register micro-ops with fused superinstructions, inline field
@@ -55,28 +55,6 @@ pub enum ExecEngine {
     /// The original recursive interpreter over [`Instr`]/`PureExpr` trees —
     /// the reference semantics and the differential-testing baseline.
     TreeWalk,
-}
-
-impl ExecEngine {
-    /// Stable lowercase tag for configs, reports, and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecEngine::Bytecode => "bytecode",
-            ExecEngine::TreeWalk => "tree_walk",
-        }
-    }
-
-    /// Parses [`ExecEngine::name`]-style tags (CLI flags, campaign state).
-    pub fn parse(tag: &str) -> Option<ExecEngine> {
-        match tag {
-            "bytecode" => Some(ExecEngine::Bytecode),
-            "tree_walk" | "treewalk" | "tree-walk" => Some(ExecEngine::TreeWalk),
-            _ => None,
-        }
-    }
-
-    /// Both engines, for differential sweeps.
-    pub const ALL: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::TreeWalk];
 }
 
 /// An empty inline-cache entry: no class id is `u32::MAX` (class ids index
@@ -355,8 +333,6 @@ impl<'p> Execution<'p> {
                     }
                     _ => break,
                 }
-                #[cfg(feature = "profile-ops")]
-                opstats::bump(op.kind_index());
                 index += 1;
             }
             if index == ops.len() {
@@ -364,8 +340,6 @@ impl<'p> Execution<'p> {
             }
         }
         for op in &ops[index..] {
-            #[cfg(feature = "profile-ops")]
-            opstats::bump(op.kind_index());
             match op {
                 Op::Expr { dst, rv } => {
                     let value = self.eval_rvalue(thread, rv, code, pc)?;
@@ -938,58 +912,39 @@ impl<'p> Execution<'p> {
     }
 }
 
-/// Per-opcode execution counters (`profile-ops` feature): process-global
-/// relaxed atomics bumped once per executed micro-op, so fusion decisions
-/// can be driven by measured opcode mixes instead of guesses.
-#[cfg(feature = "profile-ops")]
-pub mod opstats {
-    use cil::bytecode::OP_KIND_NAMES;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    static COUNTS: [AtomicU64; 12] = [ZERO; 12];
-
-    #[inline]
-    pub(crate) fn bump(kind: usize) {
-        COUNTS[kind].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(opcode name, executions)` pairs in [`OP_KIND_NAMES`] order.
-    pub fn snapshot() -> Vec<(&'static str, u64)> {
-        OP_KIND_NAMES
-            .iter()
-            .zip(&COUNTS)
-            .map(|(name, count)| (*name, count.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Zeroes all counters (between bench phases).
-    pub fn reset() {
-        for count in &COUNTS {
-            count.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{NullObserver, RecordingObserver};
-    use crate::sched::{run_with, Limits, RandomScheduler};
+    use crate::sched::{drive, Limits, RandomScheduler, RunOutcome};
 
-    fn run_both(source: &str, seed: u64) -> (crate::sched::RunOutcome, crate::sched::RunOutcome) {
+    /// Runs `program` from `main` under `engine` and a seeded random
+    /// schedule, delivering events to `observer`.
+    fn run_under(
+        program: &cil::Program,
+        engine: ExecEngine,
+        seed: u64,
+        observer: &mut dyn Observer,
+    ) -> RunOutcome {
+        let mut exec = Execution::new(program, "main").unwrap();
+        exec.set_engine(engine);
+        let termination = drive(
+            &mut exec,
+            &mut RandomScheduler::seeded(seed),
+            observer,
+            Limits::default(),
+        );
+        RunOutcome {
+            termination,
+            steps: exec.steps(),
+            uncaught: exec.uncaught().to_vec(),
+            output: exec.output().to_vec(),
+        }
+    }
+
+    fn run_both(source: &str, seed: u64) -> (RunOutcome, RunOutcome) {
         let program = cil::compile(source).unwrap();
-        let run = |engine: ExecEngine| {
-            run_with(
-                &program,
-                "main",
-                &mut RandomScheduler::seeded(seed),
-                &mut NullObserver,
-                Limits::default().with_engine(engine),
-            )
-            .unwrap()
-        };
+        let run = |engine| run_under(&program, engine, seed, &mut NullObserver);
         (run(ExecEngine::Bytecode), run(ExecEngine::TreeWalk))
     }
 
@@ -1065,16 +1020,9 @@ mod tests {
             }
         "#;
         let program = cil::compile(source).unwrap();
-        let record = |engine: ExecEngine| {
+        let record = |engine| {
             let mut observer = RecordingObserver::default();
-            let outcome = run_with(
-                &program,
-                "main",
-                &mut RandomScheduler::seeded(9),
-                &mut observer,
-                Limits::default().with_engine(engine),
-            )
-            .unwrap();
+            let outcome = run_under(&program, engine, 9, &mut observer);
             (outcome.output, observer.events)
         };
         let (out_bc, events_bc) = record(ExecEngine::Bytecode);
@@ -1179,14 +1127,5 @@ mod tests {
         assert_eq!(exec.engine(), ExecEngine::TreeWalk);
         exec.set_engine(ExecEngine::Bytecode);
         assert_eq!(exec.engine(), ExecEngine::Bytecode);
-    }
-
-    #[test]
-    fn engine_tags_round_trip() {
-        for engine in ExecEngine::ALL {
-            assert_eq!(ExecEngine::parse(engine.name()), Some(engine));
-        }
-        assert_eq!(ExecEngine::parse("jit"), None);
-        assert_eq!(ExecEngine::default(), ExecEngine::Bytecode);
     }
 }

@@ -125,7 +125,6 @@ pub(crate) fn fuzz_once_session<'p>(
     }
     let exec = exec_slot.as_mut().expect("installed above");
     exec.set_heap_budget(config.max_heap_cells);
-    exec.set_engine(config.engine);
 
     // The race set is probed once per scheduler decision (and once per
     // statement under `switch_only_at_sync`); a sorted inline slice beats

@@ -331,7 +331,6 @@ fn compute_prologue(
     }
     let mut exec = Execution::new(program, entry).ok()?;
     exec.set_heap_budget(config.max_heap_cells);
-    exec.set_engine(config.engine);
     let mut draws: u64 = 0;
     loop {
         if exec.engine_error().is_some() || exec.steps() >= config.max_steps {

@@ -1,132 +1,273 @@
-//! Engine-sweep differential test: the register-bytecode VM and the
-//! tree-walking interpreter must be observably identical.
+//! Engine lockstep differential test: the register-bytecode VM and the
+//! tree-walking interpreter must be observably identical, state by state.
 //!
-//! This is the acceptance gate for the bytecode execution engine: the fused
-//! micro-ops, inline field caches, and footprint-table `next_access` are
-//! only allowed to make trials *faster*, never to change a single byte of
-//! any report. The sweep pins every Table-1 workload under both engines,
-//! every snapshot mode, and sequential vs parallel trial pools; the
-//! property test extends the same oracle to randomly generated programs
-//! across a seed sweep. Unit-level lockstep coverage (event streams, RNG
-//! draws, `next_access` parity per state) lives in `crates/interp/src/vm.rs`
-//! tests; this suite checks the full two-phase pipeline end to end.
+//! The whole pipeline runs the bytecode engine. The tree-walker survives
+//! only as the reference semantics this suite replays against, selected
+//! per execution with `Execution::set_engine`. The harness records Phase-2
+//! schedules with `fuzz_pair_once` under both `switch_only_at_sync`
+//! settings, for every predicted pair of every Table-1 workload and of
+//! generated programs, plus one untargeted schedule per seed. It then
+//! replays each schedule on a bytecode and a tree-walk `Execution` side by
+//! side:
+//!
+//! - before every step, and after the last, every thread's `is_enabled`,
+//!   `enabled_pc` and `next_access` agree;
+//! - every step returns the same `StepResult`;
+//! - at the end, steps, output and uncaught exceptions agree, and match
+//!   the recorded trial.
+//!
+//! Each schedule is replayed twice: under `NullObserver`, Phase 2's
+//! event-free fast path, and under `RecordingObserver`, Phase 1's event
+//! path, where the two event streams must be equal as well.
 
 use proptest::prelude::*;
-use racefuzzer_suite::interp::ExecEngine;
+use racefuzzer_suite::interp::{
+    ExecEngine, Execution, NullObserver, Observer, RecordingObserver, StepResult, ThreadId,
+};
 use racefuzzer_suite::prelude::*;
-use racefuzzer_suite::racefuzzer::SnapshotMode;
+use racefuzzer_suite::racefuzzer::{fuzz_once, FuzzOutcome};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
-/// Trials per pair: small enough to keep the cross-product sweep fast,
-/// large enough that every workload hits races, exceptions, and first-seed
-/// bookkeeping on at least some pairs.
-const TRIALS: usize = 6;
+/// Recorded trials per target and scheduler setting on the Table-1
+/// workloads.
+const WORKLOAD_SEEDS: Range<u64> = 0..3;
 
-fn options(engine: ExecEngine, mode: SnapshotMode, workers: usize) -> AnalyzeOptions {
-    AnalyzeOptions::with_trials(TRIALS)
-        .engine(engine)
-        .snapshot_mode(mode)
-        .workers(workers)
-}
+/// Step budget of the recorded workload trials. Under `switch_only_at_sync`
+/// a spinning thread can run to the budget; replaying the default two
+/// million statements four times over shows nothing a shorter cut misses.
+const WORKLOAD_MAX_STEPS: u64 = 250_000;
 
-fn render(report: &AnalysisReport) -> String {
-    format!("{report:#?}")
-}
-
-#[test]
-fn engines_agree_on_all_workloads_modes_and_worker_counts() {
-    let mut failures = Vec::new();
-    for workload in workloads::all() {
-        for mode in SnapshotMode::ALL {
-            for workers in [1, 4] {
-                let tree_walk = analyze(
-                    &workload.program,
-                    workload.entry,
-                    &options(ExecEngine::TreeWalk, mode, workers),
-                )
-                .expect("tree-walk analysis succeeds");
-                let bytecode = analyze(
-                    &workload.program,
-                    workload.entry,
-                    &options(ExecEngine::Bytecode, mode, workers),
-                )
-                .expect("bytecode analysis succeeds");
-                if render(&tree_walk) != render(&bytecode) {
-                    failures.push(format!(
-                        "{} under {mode:?} with {workers} worker(s)",
-                        workload.name
-                    ));
-                }
-            }
+/// Compares every thread's scheduler-visible state on both engines.
+fn check_state(bytecode: &Execution, tree_walk: &Execution) -> Result<(), String> {
+    if bytecode.thread_count() != tree_walk.thread_count() {
+        return Err(format!(
+            "thread count: bytecode {} vs tree-walk {}",
+            bytecode.thread_count(),
+            tree_walk.thread_count()
+        ));
+    }
+    for index in 0..bytecode.thread_count() {
+        let thread = ThreadId(index as u32);
+        let view = |exec: &Execution| {
+            (
+                exec.is_enabled(thread),
+                exec.enabled_pc(thread),
+                exec.next_access(thread),
+            )
+        };
+        let (left, right) = (view(bytecode), view(tree_walk));
+        if left != right {
+            return Err(format!(
+                "thread {index} (is_enabled, enabled_pc, next_access): \
+                 bytecode {left:?} vs tree-walk {right:?}"
+            ));
         }
     }
-    assert!(
-        failures.is_empty(),
-        "bytecode reports diverged from tree-walk: {failures:?}"
+    Ok(())
+}
+
+/// Replays the schedule `outcome` recorded on a bytecode and a tree-walk
+/// execution in lockstep, each delivering its events to its own observer.
+fn replay(
+    program: &cil::Program,
+    entry: &str,
+    outcome: &FuzzOutcome,
+    bytecode_observer: &mut dyn Observer,
+    tree_walk_observer: &mut dyn Observer,
+) -> Result<(), String> {
+    let schedule = outcome
+        .schedule
+        .as_deref()
+        .ok_or("the trial recorded no schedule")?;
+    let start = || Execution::new(program, entry).map_err(|error| error.to_string());
+    let mut bytecode = start()?;
+    let mut tree_walk = start()?;
+    tree_walk.set_engine(ExecEngine::TreeWalk);
+    for (step, &thread) in schedule.iter().enumerate() {
+        check_state(&bytecode, &tree_walk)
+            .map_err(|error| format!("before step {step}: {error}"))?;
+        let left = bytecode.step(thread, bytecode_observer);
+        let right = tree_walk.step(thread, tree_walk_observer);
+        if left != right {
+            return Err(format!(
+                "step {step} of {thread:?}: bytecode {left:?} vs tree-walk {right:?}"
+            ));
+        }
+        if left == StepResult::NotEnabled {
+            return Err(format!(
+                "step {step}: the recorded {thread:?} is not enabled"
+            ));
+        }
+    }
+    check_state(&bytecode, &tree_walk).map_err(|error| format!("after the last step: {error}"))?;
+    let end = |exec: &Execution| {
+        (
+            exec.steps(),
+            exec.output().to_vec(),
+            exec.uncaught().to_vec(),
+        )
+    };
+    if end(&bytecode) != end(&tree_walk) {
+        return Err(format!(
+            "(steps, output, uncaught): bytecode {:?} vs tree-walk {:?}",
+            end(&bytecode),
+            end(&tree_walk)
+        ));
+    }
+    let recorded = (
+        outcome.steps,
+        outcome.output.clone(),
+        outcome.uncaught.clone(),
     );
+    if end(&bytecode) != recorded {
+        return Err(format!(
+            "the replay {:?} is not the recorded trial {recorded:?}",
+            end(&bytecode)
+        ));
+    }
+    Ok(())
+}
+
+/// Replays one recorded trial under both observer paths.
+fn check_trial(program: &cil::Program, entry: &str, outcome: &FuzzOutcome) -> Result<(), String> {
+    replay(
+        program,
+        entry,
+        outcome,
+        &mut NullObserver,
+        &mut NullObserver,
+    )
+    .map_err(|error| format!("NullObserver: {error}"))?;
+    let mut bytecode = RecordingObserver::default();
+    let mut tree_walk = RecordingObserver::default();
+    replay(program, entry, outcome, &mut bytecode, &mut tree_walk)
+        .map_err(|error| format!("RecordingObserver: {error}"))?;
+    let (left, right) = (&bytecode.events, &tree_walk.events);
+    if left != right {
+        let at = left.iter().zip(right).take_while(|(a, b)| a == b).count();
+        return Err(format!(
+            "RecordingObserver: event {at}: bytecode {:?} vs tree-walk {:?}",
+            left.get(at),
+            right.get(at)
+        ));
+    }
+    Ok(())
+}
+
+/// How much a sweep replayed, for the summary lines (`--nocapture`).
+#[derive(Default)]
+struct Tally {
+    schedules: u64,
+    statements: u64,
+}
+
+/// Records one trial per seed in `seeds` for every predicted pair of
+/// `program`, and for no target, with `fuzz`'s scheduler settings, and
+/// replays each in lockstep.
+fn sweep(
+    program: &cil::Program,
+    entry: &str,
+    predict: &PredictConfig,
+    fuzz: &FuzzConfig,
+    seeds: Range<u64>,
+    tally: &mut Tally,
+) -> Result<(), String> {
+    let (pairs, _provenance) =
+        gather_candidates(program, entry, predict, CandidateSource::DynamicPhase1)
+            .map_err(|error| error.to_string())?;
+    for target in std::iter::once(None).chain(pairs.into_iter().map(Some)) {
+        for seed in seeds.clone() {
+            let config = FuzzConfig {
+                seed,
+                record_schedule: true,
+                ..fuzz.clone()
+            };
+            let outcome = match target {
+                Some(pair) => fuzz_pair_once(program, entry, pair, &config),
+                // No target: a plain random schedule, which every program
+                // has even when Phase 1 predicts no pair.
+                None => fuzz_once(program, entry, &BTreeSet::new(), &config),
+            }
+            .map_err(|error| error.to_string())?;
+            check_trial(program, entry, &outcome).map_err(|error| {
+                let target = target.map_or("no target".to_owned(), |pair| format!("{pair:?}"));
+                format!("{target}, seed {seed}: {error}")
+            })?;
+            tally.schedules += 1;
+            tally.statements += outcome.steps;
+        }
+    }
+    Ok(())
+}
+
+/// Sweeps every predicted pair of every Table-1 workload, predicted with
+/// the paper's Phase-1 configuration.
+fn sweep_workloads(switch_only_at_sync: bool, tally: &mut Tally) -> Vec<String> {
+    let fuzz = FuzzConfig {
+        switch_only_at_sync,
+        max_steps: WORKLOAD_MAX_STEPS,
+        ..FuzzConfig::default()
+    };
+    workloads::all()
+        .iter()
+        .filter_map(|workload| {
+            sweep(
+                &workload.program,
+                workload.entry,
+                &PredictConfig::default(),
+                &fuzz,
+                WORKLOAD_SEEDS,
+                tally,
+            )
+            .err()
+            .map(|error| format!("{}: {error}", workload.name))
+        })
+        .collect()
 }
 
 #[test]
 fn engines_agree_on_recorded_schedules_and_seed_sweeps() {
-    // Schedule recording exposes the raw RNG draw sequence: a single extra
-    // or missing draw in either engine shows up here even when the coarse
-    // trial verdicts happen to agree. Both scheduler configurations are
-    // pinned — `switch_only_at_sync` batches statement runs between
-    // decisions (the §4 optimisation the throughput gate measures), and its
-    // recorded schedules must still match statement for statement.
+    let mut tally = Tally::default();
+    let mut failures = sweep_workloads(false, &mut tally);
+    // A deeper seed sweep on Figure 2 under both scheduler settings: more
+    // interleavings of one program's racing accesses.
     let program = workloads::figure2(5);
-    let (pairs, _provenance) = gather_candidates(
-        &program,
-        "main",
-        &PredictConfig::default(),
-        CandidateSource::DynamicPhase1,
-    )
-    .expect("candidates found");
-    let pair = pairs[0];
-    for at_sync in [false, true] {
-        for seed in 0..40 {
-            let config = |engine| FuzzConfig {
-                seed,
-                engine,
-                record_schedule: true,
-                switch_only_at_sync: at_sync,
-                ..FuzzConfig::default()
-            };
-            let tree_walk = fuzz_pair_once(&program, "main", pair, &config(ExecEngine::TreeWalk))
-                .expect("tree-walk trial runs");
-            let bytecode = fuzz_pair_once(&program, "main", pair, &config(ExecEngine::Bytecode))
-                .expect("bytecode trial runs");
-            assert_eq!(
-                format!("{tree_walk:#?}"),
-                format!("{bytecode:#?}"),
-                "seed {seed} (at_sync: {at_sync}): trial outcomes diverged"
-            );
+    for switch_only_at_sync in [false, true] {
+        let fuzz = FuzzConfig {
+            switch_only_at_sync,
+            ..FuzzConfig::default()
+        };
+        let predict = PredictConfig::default();
+        if let Err(error) = sweep(&program, "main", &predict, &fuzz, 0..40, &mut tally) {
+            failures.push(format!("figure2 (at_sync: {switch_only_at_sync}): {error}"));
         }
     }
+    println!(
+        "replayed {} schedule(s), {} statement(s)",
+        tally.schedules, tally.statements
+    );
+    assert!(
+        failures.is_empty(),
+        "bytecode diverged from tree-walk:\n{}",
+        failures.join("\n")
+    );
 }
 
 #[test]
 fn engines_agree_under_the_at_sync_scheduler() {
-    // The throughput gate measures `switch_only_at_sync`, so that
-    // configuration gets its own workload sweep under the same oracle.
-    let mut failures = Vec::new();
-    for workload in workloads::all() {
-        for mode in SnapshotMode::ALL {
-            let run = |engine| {
-                let mut options = options(engine, mode, 1);
-                options.fuzz.switch_only_at_sync = true;
-                analyze(&workload.program, workload.entry, &options)
-                    .expect("analysis succeeds")
-            };
-            let tree_walk = run(ExecEngine::TreeWalk);
-            let bytecode = run(ExecEngine::Bytecode);
-            if render(&tree_walk) != render(&bytecode) {
-                failures.push(format!("{} under {mode:?} (at_sync)", workload.name));
-            }
-        }
-    }
+    // The §4 run-until-sync loop batches statements between decisions;
+    // its recorded schedules must replay statement for statement too.
+    let mut tally = Tally::default();
+    let failures = sweep_workloads(true, &mut tally);
+    println!(
+        "replayed {} schedule(s), {} statement(s)",
+        tally.schedules, tally.statements
+    );
     assert!(
         failures.is_empty(),
-        "bytecode reports diverged from tree-walk: {failures:?}"
+        "bytecode diverged from tree-walk:\n{}",
+        failures.join("\n")
     );
 }
 
@@ -199,6 +340,12 @@ fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
     source.push_str(
         "proc main() {\n    lk = new Lock;\n    bx = new Box;\n    arr = new [4];\n",
     );
+    // Start the field and every element at 0, so bumps add instead of
+    // throwing on their first read.
+    source.push_str("    var b = bx;\n    b.n = 0;\n    var a = arr;\n");
+    for i in 0..4 {
+        let _ = writeln!(source, "    a[{i}] = 0;");
+    }
     for t in 0..threads.len() {
         let _ = writeln!(source, "    var t{t} = spawn worker{t}();");
     }
@@ -209,17 +356,6 @@ fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
     source
 }
 
-fn quick_options(engine: ExecEngine, base_seed: u64) -> AnalyzeOptions {
-    let mut options = AnalyzeOptions::with_trials(5).engine(engine);
-    options.base_seed = base_seed;
-    options.predict = PredictConfig::with_runs(2);
-    options.fuzz.postpone_limit = 100;
-    options.fuzz.max_steps = 50_000;
-    // Alternate scheduler configurations across cases so the random sweep
-    // covers both without doubling its runtime.
-    options.fuzz.switch_only_at_sync = base_seed.is_multiple_of(2);
-    options
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -231,23 +367,28 @@ proptest! {
     ) {
         let source = render_program(3, &threads);
         let program = cil::compile(&source).expect("generated program compiles");
-        let tree_walk = analyze(
-            &program,
-            "main",
-            &quick_options(ExecEngine::TreeWalk, base_seed),
-        )
-        .expect("tree-walk analysis succeeds");
-        let bytecode = analyze(
-            &program,
-            "main",
-            &quick_options(ExecEngine::Bytecode, base_seed),
-        )
-        .expect("bytecode analysis succeeds");
-        prop_assert_eq!(
-            format!("{:#?}", tree_walk),
-            format!("{:#?}", bytecode),
-            "engines diverged on:\n{}",
-            source
+        let mut tally = Tally::default();
+        for switch_only_at_sync in [false, true] {
+            let fuzz = FuzzConfig {
+                postpone_limit: 100,
+                max_steps: 50_000,
+                switch_only_at_sync,
+                ..FuzzConfig::default()
+            };
+            let seeds = base_seed..base_seed + 3;
+            let predict = PredictConfig::with_runs(2);
+            let result = sweep(&program, "main", &predict, &fuzz, seeds, &mut tally);
+            prop_assert!(
+                result.is_ok(),
+                "engines diverged (at_sync: {}): {}\non:\n{}",
+                switch_only_at_sync,
+                result.unwrap_err(),
+                source
+            );
+        }
+        println!(
+            "generated program: replayed {} schedule(s), {} statement(s)",
+            tally.schedules, tally.statements
         );
     }
 }
