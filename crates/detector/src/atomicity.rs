@@ -16,10 +16,7 @@
 //! remote access into the window.
 
 use cil::flat::InstrId;
-use interp::{
-    run_with, Event, Limits, ObjId, Observer, RandomScheduler, RoundRobinScheduler, SetupError,
-    ThreadId,
-};
+use interp::{Event, Limits, ObjId, Observer, SetupError, ThreadId};
 use std::collections::{BTreeSet, HashMap};
 
 /// A predicted atomicity violation: `first` and `second` are executed by
@@ -168,7 +165,9 @@ impl Observer for AtomicityObserver {
     }
 }
 
-/// Runs the program under a few schedules and returns the union of
+/// Runs the program under the Phase-1 observation schedules — one
+/// round-robin run plus `observation_runs` random ones, sharing the entry
+/// prefix — and returns the union of
 /// predicted split-region atomicity violations.
 ///
 /// # Errors
@@ -181,29 +180,15 @@ pub fn predict_atomicity_violations(
     observation_runs: u64,
 ) -> Result<Vec<AtomicityCandidate>, SetupError> {
     let mut all: BTreeSet<AtomicityCandidate> = BTreeSet::new();
-
-    let mut observer = AtomicityObserver::new();
-    run_with(
+    let seeds: Vec<u64> = (1..=observation_runs).collect();
+    crate::observe(
         program,
         entry,
-        &mut RoundRobinScheduler::new(7),
-        &mut observer,
+        &seeds,
         Limits::default(),
+        AtomicityObserver::new(),
+        |observer| all.extend(observer.candidates()),
     )?;
-    all.extend(observer.candidates());
-
-    for seed in 1..=observation_runs {
-        let mut observer = AtomicityObserver::new();
-        run_with(
-            program,
-            entry,
-            &mut RandomScheduler::seeded(seed),
-            &mut observer,
-            Limits::default(),
-        )?;
-        all.extend(observer.candidates());
-    }
-
     Ok(all.into_iter().collect())
 }
 

@@ -41,7 +41,10 @@ pub use lockgraph::{predict_deadlocks, DeadlockCandidate, LockGraph};
 pub use report::RacePair;
 pub use shadow::EpochEngine;
 
-use interp::{run_with, Limits, Observer, RandomScheduler, RoundRobinScheduler, SetupError};
+use interp::{
+    drive, drive_prefix, Execution, Limits, Observer, RandomScheduler, RoundRobinScheduler,
+    Scheduler, SetupError, ThreadId,
+};
 use std::collections::BTreeSet;
 
 /// Configuration for [`predict_races`].
@@ -101,16 +104,18 @@ pub fn predict_races(
 /// round-robin run plus one random run per seed, racing pairs unioned in
 /// stable order.
 ///
-/// `new_engine` builds a fresh observer per run and `races` reads its
-/// racing pairs back. [`predict_races`] passes [`EpochEngine::new`]; the
-/// differential suites pass [`DetectorEngine::new`], the full-clock
-/// formulation the epoch engine is checked against.
+/// `new_engine` builds the observer and `races` reads its racing pairs
+/// back. [`predict_races`] passes [`EpochEngine::new`]; the differential
+/// suites pass [`DetectorEngine::new`], the full-clock formulation the
+/// epoch engine is checked against. The schedules share one run of the
+/// single-threaded entry prefix; the engine is cloned at its end, once per
+/// schedule.
 ///
 /// # Errors
 ///
 /// Returns [`SetupError`] if `entry` does not name a zero-argument
 /// procedure.
-pub fn predict_with<E: Observer>(
+pub fn predict_with<E: Observer + Clone>(
     program: &cil::Program,
     entry: &str,
     config: &PredictConfig,
@@ -118,32 +123,69 @@ pub fn predict_with<E: Observer>(
     races: impl Fn(&E) -> Vec<RacePair>,
 ) -> Result<Vec<RacePair>, SetupError> {
     let mut all: BTreeSet<RacePair> = BTreeSet::new();
-
-    // One deterministic fair run (busy-wait synchronization in the
-    // observed program requires scheduler fairness to terminate)…
-    let mut engine = new_engine(config.policy);
-    run_with(
+    observe(
         program,
         entry,
-        &mut RoundRobinScheduler::new(7),
-        &mut engine,
+        &config.seeds,
         config.limits,
+        new_engine(config.policy),
+        |engine| all.extend(races(engine)),
     )?;
-    all.extend(races(&engine));
-
-    for &seed in &config.seeds {
-        let mut engine = new_engine(config.policy);
-        run_with(
-            program,
-            entry,
-            &mut RandomScheduler::seeded(seed),
-            &mut engine,
-            config.limits,
-        )?;
-        all.extend(races(&engine));
-    }
-
     Ok(all.into_iter().collect())
+}
+
+/// The Phase-1 observation loop shared by races, deadlocks and atomicity:
+/// runs the program under `observer` once per observation schedule — one
+/// deterministic fair round-robin run (busy-wait synchronization in the
+/// observed program requires scheduler fairness to terminate), then one
+/// random run per seed — and hands each run's final observer to `collect`.
+///
+/// The result equals a fresh [`interp::run_with`] per schedule, but the
+/// single-threaded entry prefix runs once. Until the first `spawn` the only
+/// enabled thread is thread 0, so every schedule's pick is forced and the
+/// machine and observer states there are the same for all of them. The
+/// prefix runs once under [`drive_prefix`]; each schedule then resumes a
+/// snapshot of that state with a clone of the observer, replays the forced
+/// picks on its scheduler (so a round-robin quantum or a random stream ends
+/// where the unshared run leaves it), and [`drive`]s to the end.
+pub(crate) fn observe<E: Observer + Clone>(
+    program: &cil::Program,
+    entry: &str,
+    seeds: &[u64],
+    limits: Limits,
+    mut observer: E,
+    mut collect: impl FnMut(&E),
+) -> Result<(), SetupError> {
+    let mut exec = Execution::new(program, entry)?;
+    let started = std::time::Instant::now();
+    let Ok(forced) = drive_prefix(&mut exec, &mut observer, limits) else {
+        // The prefix ended the run, so every schedule ends here too.
+        collect(&observer);
+        return Ok(());
+    };
+    // Each schedule's deadline counts the shared prefix, as its own run
+    // would have.
+    let limits = Limits {
+        deadline: limits
+            .deadline
+            .map(|deadline| deadline.saturating_sub(started.elapsed())),
+        ..limits
+    };
+    let fork = exec.snapshot();
+    let round_robin: Box<dyn Scheduler> = Box::new(RoundRobinScheduler::new(7));
+    let random = seeds
+        .iter()
+        .map(|&seed| Box::new(RandomScheduler::seeded(seed)) as Box<dyn Scheduler>);
+    for mut scheduler in std::iter::once(round_robin).chain(random) {
+        exec.restore(&fork);
+        for _ in 0..forced {
+            scheduler.pick(&exec, &[ThreadId(0)]);
+        }
+        let mut observer = observer.clone();
+        drive(&mut exec, scheduler.as_mut(), &mut observer, limits);
+        collect(&observer);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -13,10 +13,7 @@
 //! active scheduler (`racefuzzer::hunt_deadlocks`) for confirmation.
 
 use cil::flat::InstrId;
-use interp::{
-    run_with, Event, Limits, ObjId, Observer, RandomScheduler, RoundRobinScheduler, SetupError,
-    ThreadId,
-};
+use interp::{Event, Limits, ObjId, Observer, SetupError, ThreadId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One observed nested acquisition: thread `thread` acquired `inner_lock`
@@ -217,7 +214,9 @@ impl Observer for LockGraph {
     }
 }
 
-/// Runs the program under a few schedules and returns the union of
+/// Runs the program under the Phase-1 observation schedules — one
+/// round-robin run plus `observation_runs` random ones, sharing the entry
+/// prefix — and returns the union of
 /// predicted deadlock cycles (up to length `max_cycle`).
 ///
 /// # Errors
@@ -231,29 +230,15 @@ pub fn predict_deadlocks(
     max_cycle: usize,
 ) -> Result<Vec<DeadlockCandidate>, SetupError> {
     let mut all: BTreeSet<DeadlockCandidate> = BTreeSet::new();
-
-    let mut graph = LockGraph::new();
-    run_with(
+    let seeds: Vec<u64> = (1..=observation_runs).collect();
+    crate::observe(
         program,
         entry,
-        &mut RoundRobinScheduler::new(7),
-        &mut graph,
+        &seeds,
         Limits::default(),
+        LockGraph::new(),
+        |graph| all.extend(graph.candidates(max_cycle)),
     )?;
-    all.extend(graph.candidates(max_cycle));
-
-    for seed in 1..=observation_runs {
-        let mut graph = LockGraph::new();
-        run_with(
-            program,
-            entry,
-            &mut RandomScheduler::seeded(seed),
-            &mut graph,
-            Limits::default(),
-        )?;
-        all.extend(graph.candidates(max_cycle));
-    }
-
     Ok(all.into_iter().collect())
 }
 

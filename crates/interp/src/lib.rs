@@ -59,8 +59,8 @@ pub use exec::{ExecError, Execution, SetupError, Snapshot, StepResult};
 pub use heap::{Heap, HeapCell};
 pub use rng::Rng;
 pub use sched::{
-    drive, run_with, Limits, RandomScheduler, RaposScheduler, RoundRobinScheduler, RunOutcome,
-    RunToBlockScheduler, Scheduler, Termination,
+    drive, drive_prefix, run_with, Limits, RandomScheduler, RaposScheduler, RoundRobinScheduler,
+    RunOutcome, RunToBlockScheduler, Scheduler, Termination,
 };
 pub use thread::{Status, ThreadState, UncaughtException};
 pub use value::{ObjId, ThreadId, Value};

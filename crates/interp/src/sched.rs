@@ -1,10 +1,14 @@
 //! Schedulers and the execution driver.
 //!
 //! A [`Scheduler`] decides which enabled thread runs next at every state —
-//! the paper's source of schedule nondeterminism. Three passive baselines
+//! the paper's source of schedule nondeterminism. Four passive baselines
 //! live here; the *active* race-directed scheduler (the paper's
 //! contribution) lives in the `racefuzzer` crate and drives [`Execution`]
 //! directly.
+//!
+//! [`drive`] runs an execution to the end under a scheduler;
+//! [`drive_prefix`] runs only its single-threaded entry prefix, where every
+//! scheduler's pick is forced, so several schedules can share it.
 
 use crate::event::Observer;
 use crate::exec::{Execution, SetupError, StepResult};
@@ -14,9 +18,20 @@ use crate::value::ThreadId;
 use cil::Program;
 
 /// Picks the next thread to run.
+///
+/// The driver computes the enabled set once per decision and hands it in,
+/// so a scheduler never rescans the thread table (or allocates) to learn
+/// it. When `enabled` is just thread 0 — the entry prefix before the first
+/// `spawn` — the pick is forced, and the scheduler's state after it must
+/// not depend on `exec`: schedules that share a prefix run by
+/// [`drive_prefix`] replay those forced picks against the state at its end,
+/// and must leave the scheduler exactly where the unshared run would.
 pub trait Scheduler {
-    /// Chooses one of `exec.enabled()`. Returning `None` stops the run.
-    fn pick(&mut self, exec: &Execution<'_>) -> Option<ThreadId>;
+    /// Chooses one of `enabled` (`exec`'s enabled threads, ascending and
+    /// never empty). Returning `None` stops the run; returning a thread
+    /// outside `enabled` is a scheduler bug that the driver skips as a
+    /// [`StepResult::NotEnabled`] no-op.
+    fn pick(&mut self, exec: &Execution<'_>, enabled: &[ThreadId]) -> Option<ThreadId>;
 }
 
 /// Uniformly random choice among enabled threads at every statement — the
@@ -38,12 +53,11 @@ impl RandomScheduler {
 }
 
 impl Scheduler for RandomScheduler {
-    fn pick(&mut self, exec: &Execution<'_>) -> Option<ThreadId> {
-        let enabled = exec.enabled();
+    fn pick(&mut self, _exec: &Execution<'_>, enabled: &[ThreadId]) -> Option<ThreadId> {
         if enabled.is_empty() {
             None
         } else {
-            Some(*self.rng.choose(&enabled))
+            Some(*self.rng.choose(enabled))
         }
     }
 }
@@ -64,13 +78,12 @@ impl RunToBlockScheduler {
 }
 
 impl Scheduler for RunToBlockScheduler {
-    fn pick(&mut self, exec: &Execution<'_>) -> Option<ThreadId> {
+    fn pick(&mut self, _exec: &Execution<'_>, enabled: &[ThreadId]) -> Option<ThreadId> {
         if let Some(current) = self.current {
-            if exec.is_enabled(current) {
+            if enabled.contains(&current) {
                 return Some(current);
             }
         }
-        let enabled = exec.enabled();
         self.current = enabled.first().copied();
         self.current
     }
@@ -102,13 +115,12 @@ impl RoundRobinScheduler {
 }
 
 impl Scheduler for RoundRobinScheduler {
-    fn pick(&mut self, exec: &Execution<'_>) -> Option<ThreadId> {
-        let enabled = exec.enabled();
+    fn pick(&mut self, _exec: &Execution<'_>, enabled: &[ThreadId]) -> Option<ThreadId> {
         if enabled.is_empty() {
             return None;
         }
         if let Some(last) = self.last {
-            if self.remaining > 0 && exec.is_enabled(last) {
+            if self.remaining > 0 && enabled.contains(&last) {
                 self.remaining -= 1;
                 return Some(last);
             }
@@ -153,16 +165,15 @@ impl RaposScheduler {
         }
     }
 
-    fn refill(&mut self, exec: &Execution<'_>) {
-        let enabled = exec.enabled();
+    fn refill(&mut self, exec: &Execution<'_>, enabled: &[ThreadId]) {
         if enabled.is_empty() {
             return;
         }
-        let first = *self.rng.choose(&enabled);
+        let first = *self.rng.choose(enabled);
         let mut batch = vec![first];
         let mut accesses: Vec<crate::event::Access> =
             exec.next_access(first).into_iter().collect();
-        for &candidate in &enabled {
+        for &candidate in enabled {
             if candidate == first {
                 continue;
             }
@@ -185,13 +196,13 @@ impl RaposScheduler {
 }
 
 impl Scheduler for RaposScheduler {
-    fn pick(&mut self, exec: &Execution<'_>) -> Option<ThreadId> {
+    fn pick(&mut self, exec: &Execution<'_>, enabled: &[ThreadId]) -> Option<ThreadId> {
         loop {
             match self.batch.pop() {
-                Some(thread) if exec.is_enabled(thread) => return Some(thread),
+                Some(thread) if enabled.contains(&thread) => return Some(thread),
                 Some(_) => continue, // became disabled mid-batch; drop it
                 None => {
-                    self.refill(exec);
+                    self.refill(exec, enabled);
                     if self.batch.is_empty() {
                         return None;
                     }
@@ -340,6 +351,12 @@ pub fn run_with(
 }
 
 /// Drives an existing execution to completion under `scheduler`.
+///
+/// Each decision scans the thread table once, into one buffer reused for
+/// the whole run, and hands that enabled set to the scheduler. The deadline
+/// is polled every [`DEADLINE_POLL_INTERVAL`] decisions counted from the
+/// execution's first statement, so an execution resumed after
+/// [`drive_prefix`] polls at the same points as one driven from the start.
 pub fn drive(
     exec: &mut Execution<'_>,
     scheduler: &mut dyn Scheduler,
@@ -350,7 +367,8 @@ pub fn drive(
     if limits.max_heap_cells.is_some() {
         exec.set_heap_budget(limits.max_heap_cells);
     }
-    let mut iterations: u64 = 0;
+    let mut enabled = Vec::new();
+    let mut iterations = exec.steps();
     loop {
         if exec.steps() >= limits.max_steps {
             return Termination::StepLimit;
@@ -363,7 +381,7 @@ pub fn drive(
                 }
             }
         }
-        let enabled = exec.enabled();
+        exec.enabled_into(&mut enabled);
         if enabled.is_empty() {
             let alive = exec.alive();
             return if alive.is_empty() {
@@ -372,19 +390,58 @@ pub fn drive(
                 Termination::Deadlock(alive)
             };
         }
-        let Some(choice) = scheduler.pick(exec) else {
+        let Some(choice) = scheduler.pick(exec, &enabled) else {
             return Termination::SchedulerStopped;
         };
-        let result = exec.step(choice, observer);
-        if let StepResult::EngineError(error) = result {
-            return Termination::EngineError(error);
-        }
         // A disabled pick is a scheduler bug; skip rather than spin.
-        debug_assert_ne!(
-            result,
-            StepResult::NotEnabled,
+        debug_assert!(
+            enabled.contains(&choice),
             "scheduler picked a disabled thread"
         );
+        if !enabled.contains(&choice) {
+            continue;
+        }
+        if let StepResult::EngineError(error) = exec.step_enabled(choice, observer) {
+            return Termination::EngineError(error);
+        }
+    }
+}
+
+/// Runs the single-threaded entry prefix of `exec`: steps thread 0 while it
+/// is the only thread ever created and is enabled. At those decisions the
+/// enabled set is just thread 0, so every schedule steps the same thread
+/// and the state this leaves is the state any schedule reaches after the
+/// same number of decisions — a fork point several schedules can share.
+///
+/// The prefix is [`drive`] under a scheduler that stops at the first
+/// decision that is not forced, so `limits` is honoured exactly as `drive`
+/// honours it. Returns the number of forced steps taken; the caller replays
+/// that many forced picks (`pick(exec, &[ThreadId(0)])`) on each scheduler
+/// before handing the execution to [`drive`].
+///
+/// # Errors
+///
+/// Returns the [`Termination`] if the step limit, the deadline, or an
+/// engine error ends the run inside the prefix — where every schedule
+/// would end it too.
+pub fn drive_prefix(
+    exec: &mut Execution<'_>,
+    observer: &mut dyn Observer,
+    limits: Limits,
+) -> Result<u64, Termination> {
+    /// Picks thread 0 while it is the only thread, then stops.
+    struct Forced;
+    impl Scheduler for Forced {
+        fn pick(&mut self, exec: &Execution<'_>, enabled: &[ThreadId]) -> Option<ThreadId> {
+            (exec.thread_count() == 1 && enabled == [ThreadId(0)]).then_some(ThreadId(0))
+        }
+    }
+    let start = exec.steps();
+    match drive(exec, &mut Forced, observer, limits) {
+        Termination::SchedulerStopped | Termination::AllExited | Termination::Deadlock(_) => {
+            Ok(exec.steps() - start)
+        }
+        termination => Err(termination),
     }
 }
 
@@ -606,7 +663,7 @@ mod tests {
     fn scheduler_stop_is_reported() {
         struct Quitter;
         impl Scheduler for Quitter {
-            fn pick(&mut self, _exec: &Execution<'_>) -> Option<ThreadId> {
+            fn pick(&mut self, _exec: &Execution<'_>, _enabled: &[ThreadId]) -> Option<ThreadId> {
                 None
             }
         }

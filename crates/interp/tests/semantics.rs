@@ -605,7 +605,7 @@ fn blocked_lock_disables_thread() {
                 break;
             }
         }
-        let pick = scheduler.pick(&exec).unwrap();
+        let pick = scheduler.pick(&exec, &exec.enabled()).unwrap();
         exec.step(pick, &mut NullObserver);
     }
     // The child holds l inside its sync; main's `lock l` must be disabled.

@@ -19,7 +19,9 @@
 
 use crate::config::FuzzConfig;
 use detector::{predict_atomicity_violations, AtomicityCandidate};
-use interp::{Execution, Loc, NullObserver, Rng, SetupError, Termination, ThreadId, UncaughtException};
+use interp::{
+    Execution, Loc, NullObserver, Rng, SetupError, Status, Termination, ThreadId, UncaughtException,
+};
 
 /// A forced unserialisable interleaving.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,6 +82,10 @@ pub fn fuzz_atomicity_once(
     // their `first` touched.
     let mut mid_region: Vec<(ThreadId, Loc)> = Vec::new();
     let mut decisions: u64 = 0;
+    // Per-decision scratch, reused for the whole run.
+    let mut enabled: Vec<ThreadId> = Vec::new();
+    let mut expired: Vec<ThreadId> = Vec::new();
+    let mut candidates: Vec<ThreadId> = Vec::new();
 
     let termination = loop {
         if let Some(error) = exec.engine_error() {
@@ -88,7 +94,7 @@ pub fn fuzz_atomicity_once(
         if exec.steps() >= config.max_steps {
             break Termination::StepLimit;
         }
-        let enabled = exec.enabled();
+        exec.enabled_into(&mut enabled);
         if enabled.is_empty() {
             let alive = exec.alive();
             break if alive.is_empty() {
@@ -100,21 +106,21 @@ pub fn fuzz_atomicity_once(
         decisions += 1;
 
         // Livelock monitor, as in the race algorithm.
-        let expired: Vec<ThreadId> = postponed
-            .iter()
-            .filter(|&&(_, since)| decisions.saturating_sub(since) > config.postpone_limit)
-            .map(|&(thread, _)| thread)
-            .collect();
-        for thread in expired {
+        expired.clear();
+        expired.extend(
+            postponed
+                .iter()
+                .filter(|&&(_, since)| decisions.saturating_sub(since) > config.postpone_limit)
+                .map(|&(thread, _)| thread),
+        );
+        for &thread in &expired {
             postponed.retain(|&(held, _)| held != thread);
             if exec.is_enabled(thread) {
                 exec.step(thread, &mut observer);
             }
         }
         postponed.retain(|&(thread, _)| exec.is_enabled(thread));
-        mid_region.retain(|&(thread, _)| {
-            exec.alive().contains(&thread)
-        });
+        mid_region.retain(|&(thread, _)| *exec.status(thread) != Status::Exited);
 
         // The payoff move: a thread is mid-region and a postponed remote
         // access targets the same location → inject it now.
@@ -139,14 +145,10 @@ pub fn fuzz_atomicity_once(
             }
         }
 
-        let candidates: Vec<ThreadId> = enabled
-            .iter()
-            .copied()
-            .filter(|thread| {
-                exec.is_enabled(*thread)
-                    && postponed.iter().all(|&(held, _)| held != *thread)
-            })
-            .collect();
+        candidates.clear();
+        candidates.extend(enabled.iter().copied().filter(|thread| {
+            exec.is_enabled(*thread) && postponed.iter().all(|&(held, _)| held != *thread)
+        }));
         if candidates.is_empty() {
             if postponed.is_empty() {
                 continue;
@@ -201,9 +203,9 @@ pub fn fuzz_atomicity_once(
         }
 
         // All enabled postponed → release one.
-        let enabled_now = exec.enabled();
-        if !enabled_now.is_empty()
-            && enabled_now
+        exec.enabled_into(&mut enabled);
+        if !enabled.is_empty()
+            && enabled
                 .iter()
                 .all(|thread| postponed.iter().any(|&(held, _)| held == *thread))
         {

@@ -1,7 +1,8 @@
 //! Property-based tests over randomly generated concurrent programs.
 //!
-//! A small generator produces multi-threaded CIL programs from a fixed op
-//! vocabulary (locked/unlocked reads and writes of a few globals). The
+//! A small generator (`support/mod.rs`) produces multi-threaded CIL
+//! programs from a fixed op vocabulary (locked/unlocked reads and writes of
+//! a few globals). The
 //! pipeline must uphold its contracts on *every* such program:
 //!
 //! * fully-locked programs have no real races (and no predictions);
@@ -10,86 +11,11 @@
 //! * the analysis never panics, deadlocks the host, or reports a real race
 //!   whose statements were not targeted.
 
+mod support;
+
 use proptest::prelude::*;
 use racefuzzer_suite::prelude::*;
-
-/// One statement in a generated worker body.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    Read(u8),
-    Write(u8),
-    LockedRead(u8),
-    LockedWrite(u8),
-    Nop,
-}
-
-fn arb_op(globals: u8, allow_unlocked_writes: bool) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..globals).prop_map(Op::Read),
-        (0..globals).prop_map(move |g| if allow_unlocked_writes {
-            Op::Write(g)
-        } else {
-            Op::LockedWrite(g)
-        }),
-        (0..globals).prop_map(Op::LockedRead),
-        (0..globals).prop_map(Op::LockedWrite),
-        Just(Op::Nop),
-    ]
-}
-
-fn arb_program(
-    globals: u8,
-    allow_unlocked_writes: bool,
-) -> impl Strategy<Value = (String, Vec<Vec<Op>>)> {
-    proptest::collection::vec(
-        proptest::collection::vec(arb_op(globals, allow_unlocked_writes), 1..6),
-        1..4,
-    )
-    .prop_map(move |threads| (render_program(globals, &threads), threads))
-}
-
-fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
-    use std::fmt::Write as _;
-    let mut source = String::from("class Lock { }\nglobal lk;\n");
-    for g in 0..globals {
-        let _ = writeln!(source, "global g{g} = 0;");
-    }
-    for (t, body) in threads.iter().enumerate() {
-        let _ = writeln!(source, "proc worker{t}() {{");
-        let _ = writeln!(source, "    var tmp = 0;");
-        for op in body {
-            match op {
-                Op::Read(g) => {
-                    let _ = writeln!(source, "    tmp = g{g};");
-                }
-                Op::Write(g) => {
-                    let _ = writeln!(source, "    g{g} = tmp + 1;");
-                }
-                Op::LockedRead(g) => {
-                    let _ = writeln!(source, "    sync (lk) {{ tmp = g{g}; }}");
-                }
-                Op::LockedWrite(g) => {
-                    let _ = writeln!(source, "    sync (lk) {{ g{g} = tmp + 1; }}");
-                }
-                Op::Nop => {
-                    let _ = writeln!(source, "    nop;");
-                }
-            }
-        }
-        let _ = writeln!(source, "}}");
-    }
-    source.push_str("proc main() {\n    lk = new Lock;\n");
-    for t in 0..threads.len() {
-        use std::fmt::Write as _;
-        let _ = writeln!(source, "    var t{t} = spawn worker{t}();");
-    }
-    for t in 0..threads.len() {
-        use std::fmt::Write as _;
-        let _ = writeln!(source, "    join t{t};");
-    }
-    source.push_str("}\n");
-    source
-}
+use support::{arb_program, Op};
 
 fn quick_options() -> AnalyzeOptions {
     AnalyzeOptions {
