@@ -242,6 +242,10 @@ pub struct Execution<'p> {
     /// cache contents are not observable state and survive
     /// snapshot/restore/reset untouched.
     pub(crate) field_caches: Vec<(u32, u32)>,
+    /// Advances whenever the lock table, a thread's status, an interrupt
+    /// flag set by another thread, or the thread count changes (see
+    /// [`Execution::enabledness_epoch`]). Not snapshot state.
+    epoch: u64,
 }
 
 impl<'p> Execution<'p> {
@@ -275,6 +279,7 @@ impl<'p> Execution<'p> {
             code: Some(code),
             vm_temps: scratch::take_values(code.max_temps() as usize),
             field_caches: scratch::take_caches(code.cache_sites() as usize, EMPTY_CACHE),
+            epoch: 0,
         })
     }
 
@@ -323,6 +328,7 @@ impl<'p> Execution<'p> {
             code: Some(code),
             vm_temps: scratch::take_values(code.max_temps() as usize),
             field_caches: scratch::take_caches(code.cache_sites() as usize, EMPTY_CACHE),
+            epoch: 0,
         }
     }
 
@@ -342,6 +348,7 @@ impl<'p> Execution<'p> {
         self.uncaught.clone_from(&snapshot.uncaught);
         self.poisoned.clone_from(&snapshot.poisoned);
         self.heap_budget = snapshot.heap_budget;
+        self.epoch += 1;
     }
 
     /// Reinitialises to the state [`Execution::new`] would produce, reusing
@@ -376,6 +383,7 @@ impl<'p> Execution<'p> {
         self.uncaught.clear();
         self.poisoned = None;
         self.heap_budget = None;
+        self.epoch += 1;
         Ok(())
     }
 
@@ -570,6 +578,22 @@ impl<'p> Execution<'p> {
             Status::Reacquire { obj, .. } => self.locks.owner(*obj).is_none(),
             Status::Runnable => self.runnable_enabled(state, thread, state.frame().pc),
         }
+    }
+
+    /// A counter that advances whenever a fact one thread's enabledness
+    /// reads can be changed by *another* thread: the lock table, a thread's
+    /// status (waiting, reacquiring, exited), an interrupt flag, or the
+    /// thread count. The remaining inputs of [`Execution::is_enabled`] — a
+    /// thread's own pc and locals — change only when that thread steps.
+    ///
+    /// So if the counter is unchanged across steps of thread `t`, every
+    /// other thread's enabledness is unchanged too, and re-checking `t`
+    /// alone brings a cached enabled set up to date. The counter is not
+    /// part of a [`Snapshot`]; [`Execution::restore`] and
+    /// [`Execution::reset`] advance it.
+    #[inline]
+    pub fn enabledness_epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Combined `is_enabled` + `NextStmt` for scheduler inner loops: one
@@ -772,6 +796,7 @@ impl<'p> Execution<'p> {
             };
             let pc = self.threads[thread.index()].frame().pc;
             self.locks.acquire(obj, thread);
+            self.epoch += 1;
             self.thread_mut(thread).push_hold(obj, depth);
             observer.on_event(&Event::Acquire {
                 thread,
@@ -1183,6 +1208,7 @@ impl<'p> Execution<'p> {
                 let outermost = self.thread_mut(thread).push_hold(target, 1);
                 if outermost {
                     self.locks.acquire(target, thread);
+                    self.epoch += 1;
                     observer.on_event(&Event::Acquire {
                         thread,
                         obj: target,
@@ -1242,6 +1268,7 @@ impl<'p> Execution<'p> {
                 let fully = self.thread_mut(thread).pop_hold(target, depth);
                 debug_assert!(fully);
                 self.locks.release(target, thread);
+                self.epoch += 1;
                 observer.on_event(&Event::Release {
                     thread,
                     obj: target,
@@ -1556,6 +1583,7 @@ impl<'p> Execution<'p> {
         let fully = self.thread_mut(thread).pop_hold(obj, 1);
         if fully {
             self.locks.release(obj, thread);
+            self.epoch += 1;
             observer.on_event(&Event::Release {
                 thread,
                 obj,
@@ -1582,6 +1610,7 @@ impl<'p> Execution<'p> {
             msg,
             thread: notifier,
         });
+        self.epoch += 1;
         self.thread_mut(waiter).status = Status::Reacquire {
             obj,
             depth,
@@ -1591,6 +1620,7 @@ impl<'p> Execution<'p> {
     }
 
     fn deliver_interrupt(&mut self, target: ThreadId) {
+        self.epoch += 1;
         let state = Arc::make_mut(&mut self.threads[target.index()]);
         match state.status.clone() {
             Status::Waiting { obj, depth } => {
@@ -1619,6 +1649,7 @@ impl<'p> Execution<'p> {
             .clone_from_slice(&args);
         scratch::recycle_values(args);
         self.threads.push(state);
+        self.epoch += 1;
         id
     }
 
@@ -1631,6 +1662,7 @@ impl<'p> Execution<'p> {
         observer: &mut dyn Observer,
     ) {
         self.thread_mut(thread).status = Status::Exited;
+        self.epoch += 1;
         let msg = self.next_msg();
         self.termination_msg.insert(thread, msg);
         observer.on_event(&Event::Send { msg, thread });

@@ -40,20 +40,96 @@ use std::collections::BTreeSet;
 /// trial).
 pub(crate) struct TrialScratch<'p> {
     exec: Option<Execution<'p>>,
-    enabled: Vec<ThreadId>,
+    ready: Ready,
     expired: Vec<ThreadId>,
-    candidates: Vec<ThreadId>,
 }
 
 impl<'p> TrialScratch<'p> {
     pub(crate) fn new() -> Self {
         TrialScratch {
             exec: None,
-            enabled: Vec::new(),
+            ready: Ready::default(),
             expired: Vec::new(),
-            candidates: Vec::new(),
         }
     }
+}
+
+/// `Enabled(s)` and the candidate set `Enabled(s) \ postponed`, kept
+/// between scheduler decisions and re-derived only when a step can have
+/// changed them (DESIGN.md §5.1).
+///
+/// A step by thread `t` can change another thread's enabledness only
+/// through a fact [`Execution::enabledness_epoch`] tracks (the lock table,
+/// a thread's status, an interrupt flag, the thread count); `t`'s own
+/// enabledness can also change through its new pc. So after each step one
+/// epoch comparison plus one `is_enabled(t)` decides whether the sets are
+/// still exact.
+#[derive(Default)]
+struct Ready {
+    enabled: Vec<ThreadId>,
+    /// Equals `enabled \ postponed` unless `reshape` is set.
+    candidates: Vec<ThreadId>,
+    /// The epoch `enabled` was derived at.
+    epoch: u64,
+    /// `enabled` may be out of date.
+    stale: bool,
+    /// `candidates` may differ from `enabled \ postponed`.
+    reshape: bool,
+    /// `enabled` was re-derived since disabled threads were last dropped
+    /// from the postponed set.
+    prune: bool,
+}
+
+impl Ready {
+    /// Re-derives `enabled` if a step may have changed it.
+    fn sync(&mut self, exec: &Execution<'_>) {
+        if self.stale {
+            exec.enabled_into(&mut self.enabled);
+            self.epoch = exec.enabledness_epoch();
+            self.stale = false;
+            self.reshape = true;
+            self.prune = true;
+        }
+    }
+
+    /// Whether `enabled` is `Enabled(s)` (the debug cross-check).
+    fn is_exact(&self, exec: &Execution<'_>) -> bool {
+        (0..exec.thread_count() as u32)
+            .map(ThreadId)
+            .filter(|&thread| exec.is_enabled(thread))
+            .eq(self.enabled.iter().copied())
+    }
+
+    /// Re-derives `candidates` from a current `enabled` if needed.
+    fn shape(&mut self, postponed: &[(ThreadId, u64)]) {
+        let unpostponed = |thread: &ThreadId| !is_postponed(postponed, *thread);
+        if self.reshape {
+            self.candidates.clear();
+            self.candidates
+                .extend(self.enabled.iter().copied().filter(unpostponed));
+            self.reshape = false;
+        } else {
+            debug_assert!(
+                self.enabled
+                    .iter()
+                    .copied()
+                    .filter(unpostponed)
+                    .eq(self.candidates.iter().copied()),
+                "kept candidate set is out of date"
+            );
+        }
+    }
+
+    /// Records that `thread` has just run one or more statements.
+    fn stepped(&mut self, exec: &Execution<'_>, thread: ThreadId) {
+        if exec.enabledness_epoch() != self.epoch || !exec.is_enabled(thread) {
+            self.stale = true;
+        }
+    }
+}
+
+fn is_postponed(postponed: &[(ThreadId, u64)], thread: ThreadId) -> bool {
+    postponed.iter().any(|&(held, _)| held == thread)
 }
 
 /// Runs one race-directed random execution targeting `race_set`.
@@ -107,9 +183,8 @@ pub(crate) fn fuzz_once_session<'p>(
     let scratch = scratch.unwrap_or(&mut local);
     let TrialScratch {
         exec: exec_slot,
-        enabled,
+        ready,
         expired,
-        candidates,
     } = scratch;
     match exec_slot {
         Some(exec) => match &resume {
@@ -125,6 +200,7 @@ pub(crate) fn fuzz_once_session<'p>(
     }
     let exec = exec_slot.as_mut().expect("installed above");
     exec.set_heap_budget(config.max_heap_cells);
+    ready.stale = true;
 
     // The race set is probed once per scheduler decision (and once per
     // statement under `switch_only_at_sync`); a sorted inline slice beats
@@ -139,7 +215,9 @@ pub(crate) fn fuzz_once_session<'p>(
     let mut rng = Rng::seeded(config.seed);
     let mut draws: u64 = 0;
     // The postponed set, with the scheduler-decision index at which each
-    // thread was postponed (for the livelock monitor).
+    // thread was postponed (for the livelock monitor). Threads are only
+    // ever appended, so it is ordered by that index: its head is the next
+    // thread the monitor evicts.
     let mut postponed: Vec<(ThreadId, u64)> = Vec::new();
     let mut races: Vec<RealRaceEvent> = Vec::new();
     let mut decisions: u64 = 0;
@@ -171,8 +249,9 @@ pub(crate) fn fuzz_once_session<'p>(
                 }
             }
         }
-        exec.enabled_into(enabled);
-        if enabled.is_empty() {
+        ready.sync(exec);
+        debug_assert!(ready.is_exact(exec), "kept enabled set is out of date");
+        if ready.enabled.is_empty() {
             break if !exec.has_alive() {
                 Termination::AllExited
             } else {
@@ -182,42 +261,60 @@ pub(crate) fn fuzz_once_session<'p>(
         }
         decisions += 1;
 
-        // §4 livelock monitor: evict (and run) threads postponed too long.
-        // Eviction *executes* the thread's pending statement — merely
-        // removing it from the set would let it be re-postponed for ever
-        // (the paper's Case 1 narrative: "thread1 will be removed from
-        // postponed and it will execute the remaining statements").
-        expired.clear();
-        expired.extend(
-            postponed
-                .iter()
-                .filter(|&&(_, since)| decisions.saturating_sub(since) > config.postpone_limit)
-                .map(|&(thread, _)| thread),
-        );
-        for &thread in expired.iter() {
-            postponed.retain(|&(held, _)| held != thread);
-            if exec.is_enabled(thread) {
-                step(exec, thread, &mut schedule, &mut observer);
+        let expires =
+            |&(_, since): &(ThreadId, u64)| decisions.saturating_sub(since) > config.postpone_limit;
+        debug_assert!(postponed.is_sorted_by_key(|&(_, since)| since));
+        if postponed.first().is_some_and(expires) {
+            // §4 livelock monitor: evict (and run) threads postponed too
+            // long. Eviction *executes* the thread's pending statement —
+            // merely removing it from the set would let it be re-postponed
+            // for ever (the paper's Case 1 narrative: "thread1 will be
+            // removed from postponed and it will execute the remaining
+            // statements").
+            expired.clear();
+            expired.extend(
+                postponed
+                    .iter()
+                    .filter(|entry| expires(entry))
+                    .map(|&(thread, _)| thread),
+            );
+            for &thread in expired.iter() {
+                postponed.retain(|&(held, _)| held != thread);
+                if exec.is_enabled(thread) {
+                    step(exec, ready, thread, &mut schedule, &mut observer);
+                }
             }
-        }
-        // Defensive: a postponed thread is always enabled (its next
-        // statement is a memory access), but guard against future
-        // extensions adding blocking statements to race sets.
-        postponed.retain(|&(thread, _)| exec.is_enabled(thread));
-
-        candidates.clear();
-        if expired.is_empty() && postponed.is_empty() {
-            // Nothing was evicted (so nothing stepped since `enabled_into`)
-            // and the postponed set is empty: every enabled thread is a
-            // candidate. This is the steady state of a padded loop, and the
-            // re-checks below are pure overhead there.
-            candidates.extend_from_slice(enabled);
+            // A postponed thread is enabled when postponed (its next
+            // statement is in the race set), but a race set of `lock`
+            // statements (deadlock mode) can see it blocked later.
+            postponed.retain(|&(thread, _)| exec.is_enabled(thread));
+            // Candidates are the threads enabled at the top of this
+            // decision that still are: a thread the evictions enabled waits
+            // for the next decision.
+            let Ready {
+                enabled,
+                candidates,
+                ..
+            } = &mut *ready;
+            candidates.clear();
+            candidates.extend(
+                enabled
+                    .iter()
+                    .copied()
+                    .filter(|&thread| exec.is_enabled(thread) && !is_postponed(&postponed, thread)),
+            );
+            ready.reshape = true;
+            ready.prune = false;
         } else {
-            candidates.extend(enabled.iter().copied().filter(|thread| {
-                exec.is_enabled(*thread) && postponed.iter().all(|&(held, _)| held != *thread)
-            }));
+            if ready.prune {
+                // Drops only disabled threads, which are not candidates.
+                postponed.retain(|&(thread, _)| exec.is_enabled(thread));
+                ready.prune = false;
+            }
+            ready.shape(&postponed);
         }
-        if candidates.is_empty() {
+
+        if ready.candidates.is_empty() {
             if postponed.is_empty() {
                 // The livelock monitor just ran every enabled thread.
                 continue;
@@ -227,33 +324,35 @@ pub(crate) fn fuzz_once_session<'p>(
             // its pending statement.
             let index = draw_pick(&mut rng, &mut draws, postponed.len(), &mut session, cache);
             let (freed, _) = postponed.remove(index);
+            ready.reshape = true;
             if exec.is_enabled(freed) {
-                step(exec, freed, &mut schedule, &mut observer);
+                step(exec, ready, freed, &mut schedule, &mut observer);
             }
             continue;
         }
 
-        let chosen = candidates[draw_pick(
+        let index = draw_pick(
             &mut rng,
             &mut draws,
-            candidates.len(),
+            ready.candidates.len(),
             &mut session,
             cache,
-        )];
+        );
+        let chosen = ready.candidates[index];
         let next = exec.next_instr(chosen);
         let targeted = next.is_some_and(&in_race_set);
 
         if !targeted {
             // Line 24: the common case.
-            step(exec, chosen, &mut schedule, &mut observer);
+            step(exec, ready, chosen, &mut schedule, &mut observer);
             // §4 optimisation: keep the thread running until the next
             // synchronization operation or RaceSet statement.
             if config.switch_only_at_sync {
-                let ran =
-                    exec.run_quiescent(chosen, &stop_mask, config.max_steps, &mut observer);
+                let ran = exec.run_quiescent(chosen, &stop_mask, config.max_steps, &mut observer);
                 if let Some(trace) = &mut schedule {
                     trace.extend(std::iter::repeat_n(chosen, ran as usize));
                 }
+                ready.stepped(exec, chosen);
             }
         } else {
             // Algorithm 2: postponed threads whose next access conflicts
@@ -279,6 +378,8 @@ pub(crate) fn fuzz_once_session<'p>(
             if racing.is_empty() {
                 // Line 21: wait for a real race to materialise.
                 postponed.push((chosen, decisions));
+                // Keeps `candidates` equal to `enabled \ postponed`.
+                ready.candidates.remove(index);
             } else {
                 // Lines 8–19: a real race. Record it, resolve randomly.
                 let my_instr = next.expect("targeted statement exists");
@@ -296,14 +397,15 @@ pub(crate) fn fuzz_once_session<'p>(
                 }
                 if draw_coin(&mut rng, &mut draws, &mut session, cache) {
                     // Run the arriving thread; keep the others postponed.
-                    step(exec, chosen, &mut schedule, &mut observer);
+                    step(exec, ready, chosen, &mut schedule, &mut observer);
                 } else {
                     // Postpone the arriving thread, run every racing peer.
                     postponed.push((chosen, decisions));
                     for &partner in &racing {
-                        step(exec, partner, &mut schedule, &mut observer);
+                        step(exec, ready, partner, &mut schedule, &mut observer);
                         postponed.retain(|&(thread, _)| thread != partner);
                     }
+                    ready.reshape = true;
                 }
             }
         }
@@ -311,20 +413,19 @@ pub(crate) fn fuzz_once_session<'p>(
         // Line 26: all enabled threads postponed → release one at random
         // and run its pending statement so the schedule makes progress.
         // With nothing postponed the condition cannot hold and no draw is
-        // made, so the re-scan is skipped outright.
+        // made; otherwise it reads the kept sets, re-deriving them only if
+        // this decision's steps may have changed them.
         if postponed.is_empty() {
             continue;
         }
-        exec.enabled_into(enabled);
-        if !enabled.is_empty()
-            && enabled
-                .iter()
-                .all(|thread| postponed.iter().any(|&(held, _)| held == *thread))
-        {
+        ready.sync(exec);
+        ready.shape(&postponed);
+        if !ready.enabled.is_empty() && ready.candidates.is_empty() {
             let index = draw_pick(&mut rng, &mut draws, postponed.len(), &mut session, cache);
             let (freed, _) = postponed.remove(index);
+            ready.reshape = true;
             if exec.is_enabled(freed) {
-                step(exec, freed, &mut schedule, &mut observer);
+                step(exec, ready, freed, &mut schedule, &mut observer);
             }
         }
     };
@@ -380,6 +481,7 @@ fn draw_coin(
 
 fn step(
     exec: &mut Execution<'_>,
+    ready: &mut Ready,
     thread: ThreadId,
     schedule: &mut Option<Vec<ThreadId>>,
     observer: &mut NullObserver,
@@ -395,6 +497,7 @@ fn step(
         result != interp::StepResult::NotEnabled,
         "scheduler stepped a disabled thread"
     );
+    ready.stepped(exec, thread);
 }
 
 /// Runs [`fuzz_once`] targeting a predicted pair of statements.
