@@ -246,6 +246,10 @@ pub struct Execution<'p> {
     /// flag set by another thread, or the thread count changes (see
     /// [`Execution::enabledness_epoch`]). Not snapshot state.
     epoch: u64,
+    /// Advances on every step that changes state another thread can read,
+    /// other than the lock table (see [`Execution::effects`]). Not
+    /// snapshot state.
+    pub(crate) effects: u64,
 }
 
 impl<'p> Execution<'p> {
@@ -280,6 +284,7 @@ impl<'p> Execution<'p> {
             vm_temps: scratch::take_values(code.max_temps() as usize),
             field_caches: scratch::take_caches(code.cache_sites() as usize, EMPTY_CACHE),
             epoch: 0,
+            effects: 0,
         })
     }
 
@@ -329,6 +334,7 @@ impl<'p> Execution<'p> {
             vm_temps: scratch::take_values(code.max_temps() as usize),
             field_caches: scratch::take_caches(code.cache_sites() as usize, EMPTY_CACHE),
             epoch: 0,
+            effects: 0,
         }
     }
 
@@ -349,6 +355,7 @@ impl<'p> Execution<'p> {
         self.poisoned.clone_from(&snapshot.poisoned);
         self.heap_budget = snapshot.heap_budget;
         self.epoch += 1;
+        self.effects += 1;
     }
 
     /// Reinitialises to the state [`Execution::new`] would produce, reusing
@@ -384,6 +391,7 @@ impl<'p> Execution<'p> {
         self.poisoned = None;
         self.heap_budget = None;
         self.epoch += 1;
+        self.effects += 1;
         Ok(())
     }
 
@@ -482,6 +490,11 @@ impl<'p> Execution<'p> {
     #[inline]
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// The heap, read-only.
+    pub fn heap(&self) -> &Heap {
+        &self.heap
     }
 
     /// Text produced by `print` statements.
@@ -594,6 +607,106 @@ impl<'p> Execution<'p> {
     #[inline]
     pub fn enabledness_epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// A counter that advances on every step that changes state another
+    /// thread can read, apart from monitor ownership: a heap write or
+    /// allocation, a global store, `print`, `spawn`, a `notify` or
+    /// `notifyall` that wakes a waiter, an `interrupt` of a live thread,
+    /// `wait`, and a thread's exit (normal or by an uncaught exception).
+    /// `lock` and `unlock` do not advance it, nor do loads, branches,
+    /// calls, returns, `sleep` and caught exceptions, which change only the
+    /// stepping thread's own [`ThreadState`] and the lock table.
+    ///
+    /// So while the counter stands still, every thread's next step is a
+    /// function of its own state alone, and whether it is enabled is a
+    /// function of its own state and the lock table. Phase 2 relies on this
+    /// to replay spin loops without executing them. The counter is not
+    /// part of a [`Snapshot`]; [`Execution::restore`] and
+    /// [`Execution::reset`] advance it.
+    #[inline]
+    pub fn effects(&self) -> u64 {
+        self.effects
+    }
+
+    /// The state of `thread`, shared copy-on-write with the execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread` was never created.
+    pub fn thread_state(&self, thread: ThreadId) -> &Arc<ThreadState> {
+        &self.threads[thread.index()]
+    }
+
+    /// The monitor whose owner decides whether `thread` is enabled: the
+    /// target of the `lock` at its pc, or the monitor it must reacquire
+    /// after a `wait`. `None` when no monitor does (the thread is enabled
+    /// or disabled whoever owns what).
+    pub fn blocking_monitor(&self, thread: ThreadId) -> Option<ObjId> {
+        let state = self.threads.get(thread.index())?;
+        match state.status {
+            Status::Reacquire { obj, .. } => Some(obj),
+            Status::Runnable => match self.program.instr(state.frame().pc) {
+                Instr::Lock { obj, .. } => match state.frame().locals[obj.index()] {
+                    Value::Ref(target) => Some(target),
+                    _ => None,
+                },
+                _ => None,
+            },
+            Status::Waiting { .. } | Status::Exited => None,
+        }
+    }
+
+    /// Current owner of `obj`'s monitor.
+    pub fn monitor_owner(&self, obj: ObjId) -> Option<ThreadId> {
+        self.locks.owner(obj)
+    }
+
+    /// Installs thread states a scheduler reached by replaying recorded
+    /// steps instead of executing them, and sets the statement count those
+    /// steps bring the execution to.
+    ///
+    /// Each state must be one its thread reaches from its current state by
+    /// its own steps while [`Execution::effects`] stands still; only the
+    /// lock table can then disagree, and it is brought into line with the
+    /// new `held` sets (a monitor a thread no longer holds is released,
+    /// one it newly holds is acquired). The effects counter does not move.
+    pub fn install_replayed(&mut self, states: &[Arc<ThreadState>], steps: u64) {
+        for state in states {
+            let old = std::mem::replace(&mut self.threads[state.id.index()], Arc::clone(state));
+            for &(obj, _) in &old.held {
+                if state.hold_depth(obj) == 0 {
+                    self.locks.release(obj, state.id);
+                }
+            }
+        }
+        // Acquire after every release: a monitor can pass between two
+        // installed threads.
+        for state in states {
+            for &(obj, _) in &state.held {
+                self.locks.acquire(obj, state.id);
+            }
+        }
+        debug_assert!(steps >= self.steps, "replay cannot undo steps");
+        self.steps = steps;
+        self.epoch += 1;
+    }
+
+    /// Whether the lock table's owners are exactly the monitors in the
+    /// threads' `held` sets (a debug check for [`Execution::install_replayed`]
+    /// callers).
+    pub fn monitors_agree_with_threads(&self) -> bool {
+        let held_are_owned = self.threads.iter().all(|thread| {
+            thread
+                .held
+                .iter()
+                .all(|&(obj, _)| self.locks.owner(obj) == Some(thread.id))
+        });
+        held_are_owned
+            && self
+                .locks
+                .owners()
+                .all(|(obj, owner)| self.threads[owner.index()].hold_depth(obj) > 0)
     }
 
     /// Combined `is_enabled` + `NextStmt` for scheduler inner loops: one
@@ -1114,6 +1227,7 @@ impl<'p> Execution<'p> {
                 let value = self.eval(thread, src, pc)?;
                 self.emit_mem(observer, thread, pc, Loc::Global(*global), true);
                 self.globals[global.index()] = value;
+                self.effects += 1;
                 self.advance(thread);
             }
             &Instr::LoadField { dst, obj, field } => {
@@ -1136,6 +1250,7 @@ impl<'p> Execution<'p> {
                     HeapCell::Object { fields, .. } => fields[slot] = value,
                     HeapCell::Array { .. } => unreachable!("field_slot checked object"),
                 }
+                self.effects += 1;
                 self.advance(thread);
             }
             Instr::LoadElem { dst, arr, idx } => {
@@ -1156,6 +1271,7 @@ impl<'p> Execution<'p> {
                     HeapCell::Array { elems } => elems[index as usize] = value,
                     HeapCell::Object { .. } => unreachable!("resolve_elem checked array"),
                 }
+                self.effects += 1;
                 self.advance(thread);
             }
             &Instr::New { dst, class } => {
@@ -1164,6 +1280,7 @@ impl<'p> Execution<'p> {
                     return Ok(false); // poisoned; step() reports the error
                 }
                 let obj = self.heap.alloc_object(class, field_count);
+                self.effects += 1;
                 observer.on_event(&Event::Allocated {
                     thread,
                     obj,
@@ -1194,6 +1311,7 @@ impl<'p> Execution<'p> {
                     return Ok(false); // poisoned; step() reports the error
                 }
                 let obj = self.heap.alloc_array(len);
+                self.effects += 1;
                 observer.on_event(&Event::Allocated {
                     thread,
                     obj,
@@ -1276,6 +1394,7 @@ impl<'p> Execution<'p> {
                 });
                 self.locks.add_waiter(target, thread);
                 self.thread_mut(thread).status = Status::Waiting { obj: target, depth };
+                self.effects += 1;
                 // pc stays at the wait; it advances when the wait completes.
             }
             &Instr::Notify { obj } => {
@@ -1504,6 +1623,7 @@ impl<'p> Execution<'p> {
                     None => String::new(),
                 };
                 self.output.push(text);
+                self.effects += 1;
                 self.advance(thread);
             }
             Instr::Nop => {
@@ -1611,6 +1731,7 @@ impl<'p> Execution<'p> {
             thread: notifier,
         });
         self.epoch += 1;
+        self.effects += 1;
         self.thread_mut(waiter).status = Status::Reacquire {
             obj,
             depth,
@@ -1622,6 +1743,9 @@ impl<'p> Execution<'p> {
     fn deliver_interrupt(&mut self, target: ThreadId) {
         self.epoch += 1;
         let state = Arc::make_mut(&mut self.threads[target.index()]);
+        if state.status != Status::Exited {
+            self.effects += 1;
+        }
         match state.status.clone() {
             Status::Waiting { obj, depth } => {
                 // Interrupted out of a wait: must reacquire, then throw.
@@ -1650,6 +1774,7 @@ impl<'p> Execution<'p> {
         scratch::recycle_values(args);
         self.threads.push(state);
         self.epoch += 1;
+        self.effects += 1;
         id
     }
 
@@ -1663,6 +1788,7 @@ impl<'p> Execution<'p> {
     ) {
         self.thread_mut(thread).status = Status::Exited;
         self.epoch += 1;
+        self.effects += 1;
         let msg = self.next_msg();
         self.termination_msg.insert(thread, msg);
         observer.on_event(&Event::Send { msg, thread });

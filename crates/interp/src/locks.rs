@@ -32,6 +32,13 @@ impl LockTable {
         self.monitors.clear();
     }
 
+    /// Every owned monitor with its owner, in no particular order.
+    pub(crate) fn owners(&self) -> impl Iterator<Item = (ObjId, ThreadId)> + '_ {
+        self.monitors
+            .iter()
+            .filter_map(|(&obj, monitor)| monitor.owner.map(|owner| (obj, owner)))
+    }
+
     /// Current owner of `obj`'s monitor.
     pub fn owner(&self, obj: ObjId) -> Option<ThreadId> {
         self.monitors.get(&obj).and_then(|monitor| monitor.owner)

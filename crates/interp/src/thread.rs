@@ -7,7 +7,7 @@ use cil::Symbol;
 use std::sync::Arc;
 
 /// An entry on a frame's protection stack, unwound on exceptions.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Protection {
     /// A `try` region: jump to `handler` if the exception matches.
     Catch {
@@ -25,7 +25,7 @@ pub enum Protection {
 }
 
 /// One activation record.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     /// The procedure being executed.
     pub proc: ProcId,
@@ -83,7 +83,11 @@ pub struct UncaughtException {
 }
 
 /// The full state of one logical thread.
-#[derive(Clone, Debug)]
+///
+/// Equality is structural: two states are equal when the thread would
+/// behave identically from either, given the same heap, globals and lock
+/// table (Phase 2 compares states to find a spinning thread's period).
+#[derive(Clone, Debug, PartialEq)]
 pub struct ThreadState {
     /// This thread's id.
     pub id: ThreadId,

@@ -241,6 +241,7 @@ impl<'p> Execution<'p> {
                             break;
                         };
                         self.globals[global.index()] = value;
+                        self.effects += 1;
                         frame.pc = next;
                     }
                     Op::LoadField { dst, obj, cache, .. } => {
@@ -283,6 +284,7 @@ impl<'p> Execution<'p> {
                             break;
                         }
                         fields[cached.1 as usize] = value;
+                        self.effects += 1;
                         frame.pc = next;
                     }
                     Op::LoadElem { dst, arr, idx } => {
@@ -329,6 +331,7 @@ impl<'p> Execution<'p> {
                             break;
                         }
                         elems[offset as usize] = value;
+                        self.effects += 1;
                         frame.pc = next;
                     }
                     _ => break,
@@ -366,6 +369,7 @@ impl<'p> Execution<'p> {
                         self.emit_mem(observer, thread, pc, Loc::Global(*global), true);
                     }
                     self.globals[global.index()] = value;
+                    self.effects += 1;
                     self.thread_mut(thread).frame_mut().pc = next;
                 }
                 Op::LoadField {
@@ -485,6 +489,7 @@ impl<'p> Execution<'p> {
                             }
                         }
                     }
+                    self.effects += 1;
                     self.thread_mut(thread).frame_mut().pc = next;
                 }
                 Op::LoadElem { dst, arr, idx } => {
@@ -626,6 +631,7 @@ impl<'p> Execution<'p> {
                             }
                         }
                     }
+                    self.effects += 1;
                     self.thread_mut(thread).frame_mut().pc = next;
                 }
                 Op::Jump { target } => {

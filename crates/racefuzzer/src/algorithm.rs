@@ -23,10 +23,23 @@
 //! and report every non-forced random choice to a per-pair decision trie.
 //! With no cache attached the control flow — and, critically, the RNG draw
 //! sequence — is exactly the paper's algorithm.
+//!
+//! The monitor's windows are where Phase 2 spends its time: a peer of the
+//! postponed thread spins for up to `postpone_limit` decisions, usually
+//! without changing anything another thread reads. The loop finds each
+//! spinning thread's cycle of decisions ([`crate::spin`]) and then replays
+//! whole decisions from those tables at the top of the loop — the same
+//! candidate sets, the same `Rng::below` draws, the same step and decision
+//! counts — without interpreting them. It stops before any loop-top or
+//! decision the tables cannot answer for (the monitor's expiry, the step
+//! budget, a deadline poll, a snapshot capture, a decision that would
+//! leave no candidate or wake a thread without a table) and writes the
+//! reached state back into the execution there (DESIGN.md §5.2).
 
 use crate::config::FuzzConfig;
 use crate::outcome::{FuzzOutcome, RealRaceEvent};
 use crate::snapshot::{PairCache, SnapshotMode, TrialSession};
+use crate::spin::Spin;
 use cil::flat::InstrId;
 use detector::RacePair;
 use interp::{Execution, NullObserver, Rng, SetupError, Termination, ThreadId};
@@ -42,6 +55,7 @@ pub(crate) struct TrialScratch<'p> {
     exec: Option<Execution<'p>>,
     ready: Ready,
     expired: Vec<ThreadId>,
+    spin: Spin,
 }
 
 impl<'p> TrialScratch<'p> {
@@ -50,6 +64,7 @@ impl<'p> TrialScratch<'p> {
             exec: None,
             ready: Ready::default(),
             expired: Vec::new(),
+            spin: Spin::default(),
         }
     }
 }
@@ -185,6 +200,7 @@ pub(crate) fn fuzz_once_session<'p>(
         exec: exec_slot,
         ready,
         expired,
+        spin,
     } = scratch;
     match exec_slot {
         Some(exec) => match &resume {
@@ -201,6 +217,7 @@ pub(crate) fn fuzz_once_session<'p>(
     let exec = exec_slot.as_mut().expect("installed above");
     exec.set_heap_budget(config.max_heap_cells);
     ready.stale = true;
+    spin.close();
 
     // The race set is probed once per scheduler decision (and once per
     // statement under `switch_only_at_sync`); a sorted inline slice beats
@@ -233,6 +250,43 @@ pub(crate) fn fuzz_once_session<'p>(
     let mut observer = NullObserver;
 
     let termination = loop {
+        // §4 spin windows: replay whole decisions from the threads' cycle
+        // tables (DESIGN.md §5.2), stopping before any loop-top or
+        // decision the tables cannot answer for, then materialise.
+        if spin.at_loop_top(exec, &postponed, decisions) {
+            loop {
+                let decision = decisions + 1;
+                if spin.steps() >= config.max_steps
+                    || (config.wall_clock.is_some() && decisions.is_multiple_of(256))
+                    || postponed.first().is_some_and(|&(_, since)| {
+                        decision.saturating_sub(since) > config.postpone_limit
+                    })
+                {
+                    break;
+                }
+                let bound = spin.bound();
+                let pick = spin.candidate(rng.clone().below(bound));
+                let Some(steps) = spin.plan(pick) else {
+                    break;
+                };
+                if spin.steps() + steps > config.max_steps
+                    || !session
+                        .as_mut()
+                        .is_none_or(|session| session.replay_loop_top(spin.steps()))
+                {
+                    break;
+                }
+                let index = draw_pick(&mut rng, &mut draws, bound, &mut session, cache);
+                debug_assert_eq!(spin.candidate(index), pick);
+                decisions = decision;
+                let thread = spin.commit(pick);
+                if let Some(trace) = &mut schedule {
+                    trace.extend(std::iter::repeat_n(thread, steps as usize));
+                }
+            }
+            spin.materialise(exec);
+            ready.stale = true;
+        }
         if let Some(session) = session.as_mut() {
             session.at_loop_top(exec, &postponed, &races, decisions, draws);
         }
@@ -344,6 +398,7 @@ pub(crate) fn fuzz_once_session<'p>(
 
         if !targeted {
             // Line 24: the common case.
+            let before = exec.steps();
             step(exec, ready, chosen, &mut schedule, &mut observer);
             // §4 optimisation: keep the thread running until the next
             // synchronization operation or RaceSet statement.
@@ -354,7 +409,9 @@ pub(crate) fn fuzz_once_session<'p>(
                 }
                 ready.stepped(exec, chosen);
             }
+            spin.stepped(exec, chosen, exec.steps() - before);
         } else {
+            spin.close();
             // Algorithm 2: postponed threads whose next access conflicts
             // with ours on the same dynamic location.
             let chosen_access = exec.next_access(chosen);

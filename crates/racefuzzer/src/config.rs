@@ -23,6 +23,12 @@ pub struct FuzzConfig {
     /// for this many scheduler decisions — the paper's §4 monitor that
     /// breaks livelocks caused by postponing (e.g. a peer spinning on a
     /// flag the postponed thread would set).
+    ///
+    /// The limit counts decisions, replayed ones included: when the peers'
+    /// spin has no effect, Phase 2 replays its decisions from recorded
+    /// cycles instead of executing them (DESIGN.md §5.2), so a long limit
+    /// costs little, but every draw, step and decision is counted exactly
+    /// as if each statement had run.
     pub postpone_limit: u64,
     /// Record the chosen thread at every step (for debugging and the replay
     /// tests; *not* needed for replay itself).

@@ -56,6 +56,7 @@ pub mod outcome;
 pub mod parallel;
 pub mod runner;
 pub mod snapshot;
+mod spin;
 pub mod trace;
 
 pub use algorithm::{fuzz_once, fuzz_pair_once, fuzz_pair_once_cached};

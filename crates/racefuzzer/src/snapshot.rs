@@ -551,19 +551,9 @@ impl TrialSession {
         decisions: u64,
         draws: u64,
     ) {
-        if self.done || !self.want_pending {
-            return;
-        }
-        let tick = self.ticks;
-        self.ticks += 1;
-        if exec.steps() < self.frontier_steps + self.min_gain {
-            return; // resuming here would barely beat the existing frontier
-        }
-        if self.depth < SHALLOW_CAPTURE_DEPTH {
-            if self.pending.is_some() {
-                return;
-            }
-        } else if !tick.is_multiple_of(CAPTURE_INTERVAL) {
+        let capture = self.captures_at(exec.steps());
+        self.tick();
+        if !capture {
             return;
         }
         self.frontier_steps = exec.steps();
@@ -574,6 +564,42 @@ impl TrialSession {
             decisions,
             draws,
         });
+    }
+
+    /// Whether [`TrialSession::at_loop_top`] would capture at a loop-top
+    /// reached after `steps` statements.
+    fn captures_at(&self, steps: u64) -> bool {
+        if self.done || !self.want_pending {
+            return false;
+        }
+        if steps < self.frontier_steps + self.min_gain {
+            return false; // resuming here would barely beat the existing frontier
+        }
+        if self.depth < SHALLOW_CAPTURE_DEPTH {
+            self.pending.is_none()
+        } else {
+            self.ticks.is_multiple_of(CAPTURE_INTERVAL)
+        }
+    }
+
+    /// Counts a loop-top towards the deep-node capture throttle.
+    fn tick(&mut self) {
+        if !self.done && self.want_pending {
+            self.ticks += 1;
+        }
+    }
+
+    /// The bookkeeping of [`TrialSession::at_loop_top`] for a loop-top the
+    /// scheduler replays without materialising the state (DESIGN.md §5.2),
+    /// reached after `steps` statements. Returns `false`, changing nothing,
+    /// if `at_loop_top` would capture there: the caller must then
+    /// materialise the state and call it.
+    pub(crate) fn replay_loop_top(&mut self, steps: u64) -> bool {
+        if self.captures_at(steps) {
+            return false;
+        }
+        self.tick();
+        true
     }
 
     /// Records a non-forced `below(bound)` pick (`bound >= 2`).

@@ -82,3 +82,59 @@ fn dining_philosophers_corpus_file_deadlocks_under_direction() {
     .unwrap();
     assert!(!report.real_deadlocks().is_empty());
 }
+
+/// Checks the two spin-window files' documented behaviour: Phase 1
+/// predicts the tagged cross-handshake pairs (a tag names its statement's
+/// last access: `config.size` reads `config` first), no trial of them
+/// confirms a race, and every trial of every predicted pair ends with all
+/// threads done and `printed` on stdout.
+fn assert_spin_corpus_file(name: &str, false_alarms: &[(&str, &str)], printed: &str) {
+    let text = std::fs::read_to_string(corpus_dir().join(name)).unwrap();
+    let program = cil::compile(&text).unwrap();
+    let predicted = predict_races(&program, "main", &PredictConfig::default()).unwrap();
+    let access = |tag: &str| {
+        *program
+            .tagged_accesses(tag)
+            .last()
+            .expect("tag names an access")
+    };
+    let alarms: Vec<RacePair> = false_alarms
+        .iter()
+        .map(|&(a, b)| RacePair::new(access(a), access(b)))
+        .collect();
+    for alarm in &alarms {
+        assert!(predicted.contains(alarm), "{name}: {alarm:?} predicted");
+    }
+    for pair in &predicted {
+        for seed in 1..=4 {
+            let outcome =
+                fuzz_pair_once(&program, "main", *pair, &FuzzConfig::seeded(seed)).unwrap();
+            assert_eq!(
+                outcome.termination,
+                Termination::AllExited,
+                "{name}: {pair:?}"
+            );
+            assert_eq!(outcome.output, [printed], "{name}: {pair:?}");
+            if alarms.contains(pair) {
+                assert!(
+                    outcome.races.is_empty(),
+                    "{name}: false alarm {pair:?} confirmed"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn spin_poll_corpus_file_confirms_none_of_its_handshake_pairs() {
+    assert_spin_corpus_file(
+        "spin_poll.cil",
+        &[("read_size", "write_size"), ("read_rate", "write_rate")],
+        "43",
+    );
+}
+
+#[test]
+fn spin_barrier_corpus_file_confirms_none_of_its_cross_phase_pairs() {
+    assert_spin_corpus_file("spin_barrier.cil", &[("read_peer", "write_own")], "3");
+}

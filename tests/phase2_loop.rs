@@ -15,6 +15,14 @@
 //! The snapshot cache cannot be driven from outside its crate, so the
 //! `PrefixTrie` case compares each pair's `SnapshotStats` with the values
 //! the frozen loop's trials produced, recorded in [`EXPECTED_TRIE_STATS`].
+//!
+//! The loop also replays the §4 monitor's spin windows from per-thread
+//! cycle tables instead of interpreting them (DESIGN.md §5.2). The `spin_`
+//! cases aim at that: lock-polling and barrier spins, spins whose every
+//! iteration has an effect (which must be interpreted), and budgets,
+//! monitor limits, capture ticks and options that stop a replay inside a
+//! window. Their trie statistics, in [`EXPECTED_SPIN_TRIE_STATS`], were
+//! recorded on the loop as it was before spin windows were replayed.
 
 mod support;
 
@@ -471,6 +479,8 @@ fn corpus_pairs_match_the_frozen_loop() {
         "figure1.cil",
         "figure2.cil",
         "split_region.cil",
+        "spin_barrier.cil",
+        "spin_poll.cil",
     ] {
         let source = std::fs::read_to_string(corpus.join(name)).expect("corpus file reads");
         let program = cil::compile(&source).expect("corpus file compiles");
@@ -607,6 +617,416 @@ fn sync_surface_programs_match_the_frozen_loop() {
             }
         }
     }
+}
+
+/// Two threads poll a flag under one monitor while main is postponed at a
+/// write they read after the handshake (the montecarlo shape), and a third
+/// thread takes the monitor once, after a short local delay: depending on
+/// the seed it waits for a monitor that a spinner releases in the middle
+/// of a window, or arrives after the window.
+const SPIN_POLL_SHAPES: &str = r#"
+    class Lock { }
+    class Cfg { a }
+    global l;
+    global cfg;
+    global ready = false;
+    global seen = 0;
+    proc poller(id) {
+        var ok = false;
+        while (!ok) { sync (l) { ok = ready; } }
+        var x = cfg.a;
+        sync (l) { seen = seen + x + id; }
+    }
+    proc latecomer() {
+        var i = 0;
+        while (i < 4) { i = i + 1; }
+        sync (l) { seen = seen + 100; }
+    }
+    proc main() {
+        l = new Lock;
+        cfg = new Cfg;
+        var p1 = spawn poller(1);
+        var p2 = spawn poller(2);
+        var q = spawn latecomer();
+        cfg.a = 7;
+        sync (l) { ready = true; }
+        join p1;
+        join p2;
+        join q;
+        print seen;
+    }
+"#;
+
+/// Two spinners on a plain flag, each running `effect` on every
+/// iteration, while main is postponed at the write they read after the
+/// flag. Every effect but `""` must keep the window interpreted.
+fn spin_with(effect: &str) -> String {
+    format!(
+        r#"
+        class Cell {{ v }}
+        global ready = false;
+        global data = 0;
+        global g = 0;
+        global cell;
+        global sink = 0;
+        proc spinner(c, peer) {{
+            var ok = false;
+            var n = 0;
+            while (!ok) {{
+                {effect}
+                ok = ready;
+            }}
+            sink = data + n;
+        }}
+        proc main() {{
+            cell = new Cell;
+            cell.v = 0;
+            var a = spawn spinner(cell, null);
+            var b = spawn spinner(cell, a);
+            data = 1;
+            ready = true;
+            join a;
+            join b;
+            print cell.v;
+            print g;
+            print sink;
+        }}
+    "#
+    )
+}
+
+/// The spin-window programs: the two corpus files, the polling shapes, a
+/// pure spin, and one spin per kind of effect. The heap-write and
+/// interrupt spins toggle what they write, so a replay that skipped their
+/// effects would leave a different value or interrupt flag behind.
+fn spin_programs() -> Vec<(String, cil::Program)> {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/cil");
+    let mut programs: Vec<(String, String)> = ["spin_poll.cil", "spin_barrier.cil"]
+        .into_iter()
+        .map(|name| {
+            let source = std::fs::read_to_string(corpus.join(name)).expect("corpus file reads");
+            (name.to_owned(), source)
+        })
+        .collect();
+    programs.push(("polling shapes".to_owned(), SPIN_POLL_SHAPES.to_owned()));
+    for (name, effect) in [
+        ("pure spin", ""),
+        ("allocating spin", "var o = new Cell;"),
+        ("printing spin", "print n;"),
+        ("global-store spin", "g = 1 - g;"),
+        ("heap-write spin", "c.v = 1 - c.v;"),
+        (
+            "interrupting spin",
+            "if (peer != null) { interrupt peer; } \
+             try { sleep 1; } catch (InterruptedException) { n = 1 - n; }",
+        ),
+    ] {
+        programs.push((name.to_owned(), spin_with(effect)));
+    }
+    programs
+        .into_iter()
+        .map(|(name, source)| {
+            let program = cil::compile(&source).unwrap_or_else(|error| panic!("{name}: {error}"));
+            (name, program)
+        })
+        .collect()
+}
+
+/// Seeds per spin-window case.
+const SPIN_SEEDS: [u64; 4] = [1, 2, 3, 4];
+
+/// Every predicted pair of every spin program under `config` (seed
+/// replaced), against the frozen loop.
+fn assert_spins_match(label: &str, config: &FuzzConfig) {
+    for (name, program) in spin_programs() {
+        for pair in predicted(&program) {
+            for seed in SPIN_SEEDS {
+                let config = FuzzConfig {
+                    seed,
+                    ..config.clone()
+                };
+                assert_matches(
+                    &format!("{name} ({label})"),
+                    &program,
+                    &pair_set(pair),
+                    &config,
+                );
+            }
+        }
+    }
+}
+
+/// Spin windows under the default loop, under livelock monitors that end
+/// a window before, while and well after its tables are found, and under
+/// step budgets that fall inside a window.
+#[test]
+fn spin_windows_match_the_frozen_loop() {
+    assert_spins_match("defaults", &FuzzConfig::default());
+    for postpone_limit in [1, 3, 50, 300] {
+        let config = FuzzConfig {
+            postpone_limit,
+            ..FuzzConfig::default()
+        };
+        assert_spins_match(&format!("postpone_limit {postpone_limit}"), &config);
+    }
+    for max_steps in [500, 5_000, 12_345] {
+        let config = FuzzConfig {
+            max_steps,
+            ..FuzzConfig::default()
+        };
+        assert_spins_match(&format!("max_steps {max_steps}"), &config);
+    }
+}
+
+/// Spin windows under the options that change the loop's path: decisions
+/// that run to the next synchronization operation, a recorded schedule,
+/// the location ablation, and race sets of every `lock` statement
+/// (deadlock mode, where a postponed thread waits for a monitor a spinner
+/// moves) and of every memory access.
+#[test]
+fn spin_window_options_match_the_frozen_loop() {
+    let at_sync = FuzzConfig {
+        switch_only_at_sync: true,
+        ..FuzzConfig::default()
+    };
+    assert_spins_match("switch_only_at_sync", &at_sync);
+    assert_spins_match("record_schedule", &FuzzConfig::default().recording());
+    let imprecise = FuzzConfig {
+        location_precise: false,
+        ..FuzzConfig::default()
+    };
+    assert_spins_match("location_precise: false", &imprecise);
+    for (name, program) in spin_programs() {
+        let locks: BTreeSet<InstrId> = (0..program.instr_count() as u32)
+            .map(InstrId)
+            .filter(|&id| matches!(program.instr(id), Instr::Lock { .. }))
+            .collect();
+        let accesses: BTreeSet<InstrId> = (0..program.instr_count() as u32)
+            .map(InstrId)
+            .filter(|&id| program.instr(id).is_memory_access())
+            .collect();
+        for race_set in [locks, accesses] {
+            for postpone_limit in [300, FuzzConfig::default().postpone_limit] {
+                for seed in SPIN_SEEDS {
+                    let config = FuzzConfig {
+                        seed,
+                        postpone_limit,
+                        ..DeadlockOptions::default().fuzz
+                    };
+                    assert_matches(&name, &program, &race_set, &config);
+                }
+            }
+        }
+    }
+}
+
+/// The option sets the trie cases run under: the defaults, livelock
+/// monitors that end a window before, while and after its tables are
+/// found, and a step budget that falls inside a window.
+fn spin_trie_configs() -> Vec<(String, FuzzConfig)> {
+    let mut configs = vec![("defaults".to_owned(), FuzzConfig::default())];
+    for postpone_limit in [1, 3, 50, 300] {
+        let config = FuzzConfig {
+            postpone_limit,
+            ..FuzzConfig::default()
+        };
+        configs.push((format!("postpone_limit {postpone_limit}"), config));
+    }
+    let config = FuzzConfig {
+        max_steps: 12_345,
+        ..FuzzConfig::default()
+    };
+    configs.push(("max_steps 12345".to_owned(), config));
+    configs
+}
+
+/// Per spin program (in `spin_programs` order), per option set (in
+/// `spin_trie_configs` order) and per capture policy (`min_capture_gain`
+/// 0, then the default): the `SnapshotStats` of each predicted pair after
+/// the [`SPIN_SEEDS`] trials under `PrefixTrie`, as `[trials, cache_hits,
+/// fast_forwarded_steps, captures, evictions]`. Recorded on the loop as it
+/// was before spin windows were replayed.
+#[rustfmt::skip]
+const EXPECTED_SPIN_TRIE_STATS: &[(&str, &str, u64, &[[u64; 5]])] = &[
+    ("spin_poll.cil", "defaults", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 50, 0]]),
+    ("spin_poll.cil", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_poll.cil", "postpone_limit 1", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 48, 0]]),
+    ("spin_poll.cil", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_poll.cil", "postpone_limit 3", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 49, 0]]),
+    ("spin_poll.cil", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_poll.cil", "postpone_limit 50", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 50, 0]]),
+    ("spin_poll.cil", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_poll.cil", "postpone_limit 300", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 50, 0]]),
+    ("spin_poll.cil", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_poll.cil", "max_steps 12345", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 50, 0]]),
+    ("spin_poll.cil", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_barrier.cil", "defaults", 0, &[[4, 4, 29, 44, 0], [4, 4, 29, 43, 0], [4, 4, 30, 44, 0]]),
+    ("spin_barrier.cil", "defaults", 256, &[[4, 4, 4, 1, 0], [4, 4, 4, 0, 0], [4, 4, 4, 8, 0]]),
+    ("spin_barrier.cil", "postpone_limit 1", 0, &[[4, 4, 29, 47, 0], [4, 4, 29, 46, 0], [4, 4, 27, 47, 0]]),
+    ("spin_barrier.cil", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_barrier.cil", "postpone_limit 3", 0, &[[4, 4, 29, 45, 0], [4, 4, 29, 45, 0], [4, 4, 32, 45, 0]]),
+    ("spin_barrier.cil", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_barrier.cil", "postpone_limit 50", 0, &[[4, 4, 29, 44, 0], [4, 4, 29, 43, 0], [4, 4, 30, 45, 0]]),
+    ("spin_barrier.cil", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("spin_barrier.cil", "postpone_limit 300", 0, &[[4, 4, 29, 44, 0], [4, 4, 29, 43, 0], [4, 4, 30, 45, 0]]),
+    ("spin_barrier.cil", "postpone_limit 300", 256, &[[4, 4, 4, 1, 0], [4, 4, 4, 0, 0], [4, 4, 4, 4, 0]]),
+    ("spin_barrier.cil", "max_steps 12345", 0, &[[4, 4, 29, 43, 0], [4, 4, 29, 43, 0], [4, 4, 30, 16, 0]]),
+    ("spin_barrier.cil", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("polling shapes", "defaults", 0, &[[4, 4, 15, 48, 0]]),
+    ("polling shapes", "defaults", 256, &[[4, 4, 4, 0, 0]]),
+    ("polling shapes", "postpone_limit 1", 0, &[[4, 4, 15, 48, 0]]),
+    ("polling shapes", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0]]),
+    ("polling shapes", "postpone_limit 3", 0, &[[4, 4, 15, 48, 0]]),
+    ("polling shapes", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0]]),
+    ("polling shapes", "postpone_limit 50", 0, &[[4, 4, 15, 48, 0]]),
+    ("polling shapes", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0]]),
+    ("polling shapes", "postpone_limit 300", 0, &[[4, 4, 15, 48, 0]]),
+    ("polling shapes", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0]]),
+    ("polling shapes", "max_steps 12345", 0, &[[4, 4, 15, 48, 0]]),
+    ("polling shapes", "max_steps 12345", 256, &[[4, 4, 4, 0, 0]]),
+    ("pure spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("pure spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("pure spin", "postpone_limit 1", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
+    ("pure spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("pure spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
+    ("pure spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("pure spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("pure spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("pure spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("pure spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("pure spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("pure spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("allocating spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("allocating spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("allocating spin", "postpone_limit 1", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
+    ("allocating spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("allocating spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 43, 0], [4, 4, 17, 46, 0]]),
+    ("allocating spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("allocating spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("allocating spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("allocating spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("allocating spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("allocating spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("allocating spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("printing spin", "defaults", 0, &[[4, 4, 17, 41, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
+    ("printing spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("printing spin", "postpone_limit 1", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 45, 0], [4, 4, 17, 44, 0]]),
+    ("printing spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("printing spin", "postpone_limit 3", 0, &[[4, 4, 17, 44, 0], [4, 4, 17, 44, 0], [4, 4, 17, 45, 0]]),
+    ("printing spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("printing spin", "postpone_limit 50", 0, &[[4, 4, 17, 41, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
+    ("printing spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("printing spin", "postpone_limit 300", 0, &[[4, 4, 17, 41, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
+    ("printing spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("printing spin", "max_steps 12345", 0, &[[4, 4, 17, 41, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
+    ("printing spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("global-store spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("global-store spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("global-store spin", "postpone_limit 1", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
+    ("global-store spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("global-store spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 43, 0], [4, 4, 17, 43, 0], [4, 4, 17, 46, 0]]),
+    ("global-store spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("global-store spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("global-store spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("global-store spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("global-store spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("global-store spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("global-store spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("heap-write spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("heap-write spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("heap-write spin", "postpone_limit 1", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
+    ("heap-write spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("heap-write spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 43, 0], [4, 4, 17, 43, 0], [4, 4, 17, 46, 0]]),
+    ("heap-write spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("heap-write spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("heap-write spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("heap-write spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("heap-write spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("heap-write spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
+    ("heap-write spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("interrupting spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
+    ("interrupting spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("interrupting spin", "postpone_limit 1", 0, &[[4, 4, 17, 45, 0], [4, 4, 17, 46, 0], [4, 4, 17, 45, 0]]),
+    ("interrupting spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("interrupting spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 46, 0], [4, 4, 17, 45, 0]]),
+    ("interrupting spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("interrupting spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
+    ("interrupting spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("interrupting spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
+    ("interrupting spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+    ("interrupting spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
+    ("interrupting spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
+];
+
+/// Spin windows with the prefix trie attached, capturing at every
+/// eligible loop-top (so capture ticks fall inside windows) and at the
+/// default gain, under each of `spin_trie_configs`: the frozen loop's
+/// outcomes, and the cache statistics the loop produced before it
+/// replayed windows.
+#[test]
+fn spin_windows_under_the_trie_match_the_frozen_loop() {
+    let mut table = String::new();
+    let mut observed: Vec<(String, String, u64, Vec<[u64; 5]>)> = Vec::new();
+    for (name, program) in spin_programs() {
+        for (label, base) in spin_trie_configs() {
+            for min_capture_gain in [0, SnapshotOptions::default().min_capture_gain] {
+                let options = SnapshotOptions {
+                    min_capture_gain,
+                    ..SnapshotOptions::with_mode(SnapshotMode::PrefixTrie)
+                };
+                let entry = EntryCache::new(options);
+                let mut stats: Vec<[u64; 5]> = Vec::new();
+                for pair in predicted(&program) {
+                    let trie = PairCache::new(entry.clone());
+                    for seed in SPIN_SEEDS {
+                        let config = FuzzConfig {
+                            seed,
+                            ..base.clone()
+                        };
+                        let expected = frozen_loop(&program, &pair_set(pair), &config);
+                        let actual =
+                            fuzz_pair_once_cached(&program, "main", pair, &config, Some(&trie))
+                                .expect("entry resolves");
+                        assert_eq!(
+                            format!("{actual:?}"),
+                            format!("{expected:?}"),
+                            "{name}: {pair:?} seed {seed} under the trie ({label}, gain \
+                             {min_capture_gain}) diverges from the frozen loop"
+                        );
+                    }
+                    let SnapshotStats {
+                        trials,
+                        cache_hits,
+                        fast_forwarded_steps,
+                        captures,
+                        evictions,
+                    } = trie.stats();
+                    stats.push([
+                        trials,
+                        cache_hits,
+                        fast_forwarded_steps,
+                        captures,
+                        evictions,
+                    ]);
+                }
+                let _ = writeln!(
+                    table,
+                    "    ({name:?}, {label:?}, {min_capture_gain}, &{stats:?}),"
+                );
+                observed.push((name.clone(), label.clone(), min_capture_gain, stats));
+            }
+        }
+    }
+    let expected: Vec<(String, String, u64, Vec<[u64; 5]>)> = EXPECTED_SPIN_TRIE_STATS
+        .iter()
+        .map(|&(name, label, gain, stats)| {
+            (name.to_owned(), label.to_owned(), gain, stats.to_vec())
+        })
+        .collect();
+    assert!(
+        observed == expected,
+        "spin-window trie statistics differ from the recorded ones; observed:\n{table}"
+    );
 }
 
 proptest! {
