@@ -95,16 +95,139 @@ impl Rng {
         Rng::seeded(self.next_u64())
     }
 
-    /// Advances the stream by `n` draws without using the outputs.
+    /// Advances the stream by `n` draws without using the outputs, in
+    /// O(log n): the state afterwards is exactly the one `n` calls of
+    /// [`Rng::next_u64`] would leave.
     ///
     /// Snapshot resume reconstructs a trial's generator as
     /// `Rng::seeded(seed)` fast-forwarded past the draws the skipped
-    /// prefix consumed; this is that fast-forward.
+    /// prefix consumed; this is that fast-forward. Below a few thousand
+    /// draws it steps; above, it splits `n` into powers of two and jumps
+    /// over each with a polynomial in the state transition (the module's
+    /// `CHAR_POLY` notes say why that is exact).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use interp::Rng;
+    ///
+    /// let mut jumped = Rng::seeded(7);
+    /// jumped.discard(1 << 20);
+    /// let mut stepped = Rng::seeded(7);
+    /// for _ in 0..1 << 20 {
+    ///     stepped.next_u64();
+    /// }
+    /// assert_eq!(jumped, stepped);
+    /// ```
     pub fn discard(&mut self, n: u64) {
-        for _ in 0..n {
+        if n < JUMP_CUTOFF {
+            for _ in 0..n {
+                self.next_u64();
+            }
+            return;
+        }
+        // Applying a jump polynomial costs 256 transitions, so the low
+        // `STEPPED_BITS` bits (at most 255 draws) are cheaper to step.
+        for _ in 0..n & ((1 << STEPPED_BITS) - 1) {
             self.next_u64();
         }
+        let mut rest = n >> STEPPED_BITS;
+        while rest != 0 {
+            let bit = rest.trailing_zeros() as usize;
+            self.apply(&POW2_MOD_P[bit + STEPPED_BITS]);
+            rest &= rest - 1;
+        }
     }
+
+    /// Replaces the state `s` with `r(T)·s` = Σ r_i·Tⁱ·s, where `r` holds
+    /// the coefficients of a polynomial of degree < 256 (coefficient i at
+    /// bit `i % 64` of word `i / 64`). With `r = xⁿ mod P` this is the
+    /// state `n` transitions ahead, because `P(T) = 0`.
+    fn apply(&mut self, r: &Poly) {
+        let mut acc = [0u64; 4];
+        for &word in r {
+            for bit in 0..64 {
+                let mask = 0u64.wrapping_sub(word >> bit & 1);
+                for (acc, s) in acc.iter_mut().zip(self.state) {
+                    *acc ^= s & mask;
+                }
+                self.next_u64();
+            }
+        }
+        self.state = acc;
+    }
+}
+
+/// A polynomial over GF(2) of degree < 256: coefficient i is bit `i % 64`
+/// of word `i / 64`.
+type Poly = [u64; 4];
+
+/// The characteristic polynomial P(x) = x²⁵⁶ + … of xoshiro256's state
+/// transition `T` (a linear map on GF(2)²⁵⁶), without its leading term.
+/// P is primitive, so it is also `T`'s minimal polynomial and
+/// `Tⁿ = (xⁿ mod P)(T)` for every n. Derived by Berlekamp–Massey from one
+/// state bit's sequence; the tests re-derive it and check x^(2¹²⁸) and
+/// x^(2¹⁹²) mod P against the published `JUMP` and `LONG_JUMP` constants
+/// (Blackman & Vigna, "Scrambled Linear Pseudorandom Number Generators",
+/// ACM TOMS 2021).
+const CHAR_POLY: Poly = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// Below this many draws [`Rng::discard`] steps instead of jumping: a jump
+/// costs up to 255 steps plus 256 transitions per set bit above them.
+const JUMP_CUTOFF: u64 = 2_048;
+
+/// The low bits of a discard count that are stepped rather than jumped.
+const STEPPED_BITS: usize = 8;
+
+/// `POW2_MOD_P[k]` = x^(2ᵏ) mod P: the jump polynomial for 2ᵏ draws.
+static POW2_MOD_P: [Poly; 64] = pow2_mod_p();
+
+const fn pow2_mod_p() -> [Poly; 64] {
+    let mut table = [[0u64; 4]; 64];
+    table[0][0] = 0b10; // x
+    let mut k = 1;
+    while k < 64 {
+        table[k] = mul_mod_p(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+}
+
+/// `a·b mod P` by shift-and-add: `a` runs through `a·xⁱ mod P` while the
+/// coefficients of `b` select which of them to add.
+const fn mul_mod_p(mut a: Poly, b: Poly) -> Poly {
+    let mut product = [0u64; 4];
+    let mut i = 0;
+    while i < 256 {
+        if b[i / 64] >> (i % 64) & 1 == 1 {
+            let mut w = 0;
+            while w < 4 {
+                product[w] ^= a[w];
+                w += 1;
+            }
+        }
+        // a ← a·x mod P: shift left one place and fold x²⁵⁶ back as P's
+        // low terms.
+        let carry = a[3] >> 63;
+        a[3] = a[3] << 1 | a[2] >> 63;
+        a[2] = a[2] << 1 | a[1] >> 63;
+        a[1] = a[1] << 1 | a[0] >> 63;
+        a[0] <<= 1;
+        if carry == 1 {
+            let mut w = 0;
+            while w < 4 {
+                a[w] ^= CHAR_POLY[w];
+                w += 1;
+            }
+        }
+        i += 1;
+    }
+    product
 }
 
 #[cfg(test)]
@@ -181,6 +304,182 @@ mod tests {
     #[should_panic(expected = "non-zero bound")]
     fn below_zero_bound_panics() {
         Rng::seeded(0).below(0);
+    }
+
+    /// Seeds for the jump-ahead checks: zero, small, large and all-ones.
+    const JUMP_SEEDS: [u64; 8] = [0, 1, 2, 17, 42, 0xdead_beef, 1 << 63, u64::MAX];
+
+    /// The discard counts a jump must get right: the edges of stepping
+    /// (0, 1, the stepped low bits, the cutoff ± 1), 2ᵏ ± 1 up to k = 21,
+    /// and seeded-random counts up to 3M.
+    fn discard_counts() -> Vec<u64> {
+        let mut counts = vec![0, 1, 2, 255, 256, 257, JUMP_CUTOFF - 1, JUMP_CUTOFF];
+        counts.push(JUMP_CUTOFF + 1);
+        for k in 1..=21 {
+            counts.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        let mut draw = Rng::seeded(2_048);
+        counts.extend((0..12).map(|_| draw.below(3_000_000) as u64));
+        counts.sort_unstable();
+        counts.dedup();
+        counts
+    }
+
+    #[test]
+    fn discard_equals_stepping_on_and_above_the_cutoff() {
+        let counts = discard_counts();
+        for seed in JUMP_SEEDS {
+            // One stepped stream per seed, compared at every count on the
+            // way, keeps the check at max(counts) steps instead of their sum.
+            let mut stepped = Rng::seeded(seed);
+            let mut at = 0;
+            for &n in &counts {
+                for _ in at..n {
+                    stepped.next_u64();
+                }
+                at = n;
+                let mut jumped = Rng::seeded(seed);
+                jumped.discard(n);
+                assert_eq!(jumped, stepped, "seed {seed}: discard({n}) != {n} draws");
+            }
+        }
+    }
+
+    #[test]
+    fn discards_compose() {
+        let pairs: [(u64, u64); 5] = [
+            (3_000_000, 5_000_000_000),
+            ((1 << 40) | 12_345, (1 << 41) | 999),
+            (u64::MAX / 2, u64::MAX / 3),
+            (JUMP_CUTOFF + 1, (1 << 62) - 1),
+            (0x0123_4567_89ab_cdef, 0x0fed_cba9_8765_4321),
+        ];
+        for seed in JUMP_SEEDS {
+            for (a, b) in pairs {
+                let mut split = Rng::seeded(seed);
+                split.discard(a);
+                split.discard(b);
+                let mut swapped = Rng::seeded(seed);
+                swapped.discard(b);
+                swapped.discard(a);
+                let mut whole = Rng::seeded(seed);
+                whole.discard(a + b);
+                assert_eq!(split, whole, "seed {seed}: discard({a}); discard({b})");
+                assert_eq!(swapped, whole, "seed {seed}: discard({b}); discard({a})");
+            }
+        }
+    }
+
+    /// The connection polynomial of the shortest linear recurrence that
+    /// generates `bits` (Berlekamp–Massey over GF(2)), as coefficient bits
+    /// `c[0] = 1, c[1], …, c[len]`, and its length.
+    fn berlekamp_massey(bits: &[bool]) -> (Vec<bool>, usize) {
+        let mut c = vec![false; bits.len() + 1];
+        let mut b = vec![false; bits.len() + 1];
+        c[0] = true;
+        b[0] = true;
+        let (mut len, mut shift) = (0usize, 1usize);
+        for n in 0..bits.len() {
+            let discrepancy = (1..=len).fold(bits[n], |d, i| d ^ (c[i] & bits[n - i]));
+            if !discrepancy {
+                shift += 1;
+                continue;
+            }
+            let previous = c.clone();
+            for i in 0..=bits.len() - shift {
+                c[i + shift] ^= b[i];
+            }
+            if 2 * len <= n {
+                len = n + 1 - len;
+                b = previous;
+                shift = 1;
+            } else {
+                shift += 1;
+            }
+        }
+        (c, len)
+    }
+
+    #[test]
+    fn char_poly_is_the_minimal_polynomial_of_every_state_bit() {
+        // Each sequence of one state bit obeys the recurrence of T's
+        // minimal polynomial; for a primitive P the shortest recurrence is
+        // P itself, from any nonzero state and any bit.
+        for (seed, word, bit) in [(0, 0, 0), (1, 1, 17), (42, 2, 63), (u64::MAX, 3, 5)] {
+            let mut rng = Rng::seeded(seed);
+            let bits: Vec<bool> = (0..512)
+                .map(|_| {
+                    let b = rng.state[word] >> bit & 1 == 1;
+                    rng.next_u64();
+                    b
+                })
+                .collect();
+            let (connection, len) = berlekamp_massey(&bits);
+            assert_eq!(len, 256, "seed {seed}: recurrence length");
+            // P is the connection polynomial reversed: coefficient i of P
+            // is c[256 - i], and c[0] = 1 is P's leading x²⁵⁶.
+            let mut derived = [0u64; 4];
+            for i in 0..256 {
+                if connection[256 - i] {
+                    derived[i / 64] |= 1 << (i % 64);
+                }
+            }
+            assert_eq!(
+                derived, CHAR_POLY,
+                "seed {seed}, state word {word} bit {bit}"
+            );
+        }
+    }
+
+    #[test]
+    fn char_poly_annihilates_the_transition() {
+        // P(T)·s = Σ pᵢ·Tⁱ·s + T²⁵⁶·s must vanish for every state s.
+        for seed in JUMP_SEEDS {
+            let mut low_terms = Rng::seeded(seed);
+            low_terms.apply(&CHAR_POLY);
+            let mut leading = Rng::seeded(seed);
+            for _ in 0..256 {
+                leading.next_u64();
+            }
+            assert_eq!(low_terms, leading, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn power_table_starts_at_the_unreduced_monomials() {
+        // x^(2ᵏ) needs no reduction while 2ᵏ < 256.
+        for (k, row) in POW2_MOD_P.iter().enumerate().take(STEPPED_BITS) {
+            let mut monomial = [0u64; 4];
+            monomial[(1 << k) / 64] = 1 << ((1 << k) % 64);
+            assert_eq!(*row, monomial, "x^(2^{k})");
+        }
+    }
+
+    #[test]
+    fn squaring_the_table_reaches_the_published_jump_constants() {
+        // xoshiro256's reference `jump()` and `long_jump()` apply these
+        // polynomials to advance 2¹²⁸ and 2¹⁹² draws.
+        const JUMP: Poly = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        const LONG_JUMP: Poly = [
+            0x76e1_5d3e_fefd_cbbf,
+            0xc500_4e44_1c52_2fb3,
+            0x7771_0069_854e_e241,
+            0x3910_9bb0_2acb_e635,
+        ];
+        let mut power = POW2_MOD_P[63];
+        for _ in 63..128 {
+            power = mul_mod_p(power, power);
+        }
+        assert_eq!(power, JUMP, "x^(2^128) mod P");
+        for _ in 128..192 {
+            power = mul_mod_p(power, power);
+        }
+        assert_eq!(power, LONG_JUMP, "x^(2^192) mod P");
     }
 
     #[test]

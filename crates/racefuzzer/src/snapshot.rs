@@ -30,13 +30,14 @@
 //! non-snapshot path): a snapshot records the full machine state at a
 //! scheduler loop-top plus the number of RNG draws consumed to reach it. A
 //! resumed trial rebuilds `Rng::seeded(seed)` and discards exactly that
-//! many draws, so every subsequent draw — forced or not — produces the
-//! same word the uncached run would have produced at the same point. The
-//! trie only resumes a seed from a node when simulating the seed's own
-//! stream reproduces every non-forced outcome on the path, so the skipped
-//! prefix is exactly what the seed would have executed. Eviction removes
-//! snapshots, never trie structure, and a missing snapshot only costs
-//! re-execution — it cannot change an outcome.
+//! many draws (a jump in O(log draws), not a loop), so every subsequent
+//! draw — forced or not — produces the same word the uncached run would
+//! have produced at the same point. The trie only resumes a seed from a
+//! node when simulating the seed's own stream reproduces every non-forced
+//! outcome on the path, so the skipped prefix is exactly what the seed
+//! would have executed. Eviction removes snapshots, never trie structure,
+//! and a missing snapshot only costs re-execution — it cannot change an
+//! outcome.
 //!
 //! Snapshots are excluded whenever `record_schedule` or `wall_clock` are
 //! set: schedule traces would have to be captured per snapshot (an O(steps)
@@ -152,7 +153,9 @@ pub(crate) struct TrialSnapshot {
     pub(crate) postponed: Vec<(ThreadId, u64)>,
     pub(crate) races: Vec<RealRaceEvent>,
     pub(crate) decisions: u64,
-    /// RNG draws consumed to reach this state; resume discards this many.
+    /// RNG draws consumed to reach this state; resume discards this many
+    /// with `Rng::discard`, which jumps in O(log draws), so resuming a deep
+    /// snapshot costs no more RNG work than resuming a shallow one.
     pub(crate) draws: u64,
 }
 

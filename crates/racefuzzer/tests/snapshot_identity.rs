@@ -7,14 +7,16 @@
 //! change how much of each trial is *re-executed*, never a single reported
 //! number. These tests pin that promise over every Table-1 workload, all
 //! three modes, sequential and parallel pools, adversarial seed sweeps,
-//! and a 1-snapshot memory budget.
+//! a 1-snapshot memory budget, and prologues long enough that every resume
+//! jumps the RNG instead of stepping it.
 
 use proptest::prelude::*;
 use racefuzzer::snapshot::{EntryCache, PairCache};
 use racefuzzer::{
     analyze, fuzz_pair_once, fuzz_pair_once_cached, AnalysisReport, AnalyzeOptions, FuzzConfig,
-    SnapshotMode, SnapshotOptions,
+    SnapshotMode, SnapshotOptions, SnapshotStats,
 };
+use std::fmt::Write as _;
 
 /// Trials per pair: small enough to keep the sweep fast, large enough to
 /// exercise hits, exceptions, deadlocks, and first-seed bookkeeping.
@@ -215,5 +217,136 @@ fn recording_config_bypasses_the_cache_safely() {
         cache.stats().trials,
         0,
         "recording configs must not consult the cache"
+    );
+}
+
+/// A `main` whose local warm-up runs 50,000 iterations, with or without an
+/// allocation in each, before two workers race on `hits` and `last`. A
+/// resume from its prologue, and a trie walk past it, discards hundreds of
+/// thousands of RNG draws — far above the count where `Rng::discard` stops
+/// stepping and jumps. The workers' local loops after their racy writes
+/// give the trie loop-tops worth a snapshot.
+fn long_warmup_program(allocating: bool) -> cil::Program {
+    let alloc = if allocating { "pad = new Pad;" } else { "" };
+    cil::compile(&format!(
+        r#"
+        class Pad {{ a, b }}
+        global hits = 0;
+        global last = 0;
+        global sink = 0;
+        proc worker(k, n) {{
+            var j = 0;
+            while (j < n) {{
+                hits = hits + k;
+                var x = 0;
+                while (x < 120) {{ x = x + 1; }}
+                j = j + 1;
+            }}
+            last = k;
+        }}
+        proc main() {{
+            var acc = 7;
+            var pad = null;
+            var i = 0;
+            while (i < 50000) {{
+                acc = (acc * 31 + i) % 1000003;
+                {alloc}
+                i = i + 1;
+            }}
+            var t1 = spawn worker(1, 3);
+            var t2 = spawn worker(2, 3);
+            join t1;
+            join t2;
+            sink = acc;
+            print hits;
+        }}
+        "#
+    ))
+    .expect("fixture compiles")
+}
+
+/// Seeds per long-warm-up pair.
+const LONG_WARMUP_SEEDS: [u64; 4] = [5, 6, 7, 8];
+
+/// Per long-warm-up program (local, then allocating): the `SnapshotStats`
+/// of each predicted pair after two passes of the [`LONG_WARMUP_SEEDS`]
+/// trials under `PrefixTrie`, as `[trials, cache_hits,
+/// fast_forwarded_steps, captures, evictions]`. Recorded by this test
+/// while `Rng::discard` still stepped one draw at a time.
+#[rustfmt::skip]
+const EXPECTED_LONG_WARMUP_TRIE_STATS: &[(&str, &[[u64; 5]])] = &[
+    ("local warm-up", &[[8, 8, 1604285, 14, 0], [8, 8, 1602367, 9, 0], [8, 8, 1600032, 0, 0]]),
+    ("allocating warm-up", &[[8, 8, 2400032, 30, 22], [8, 8, 2402654, 9, 1], [8, 8, 2400032, 0, 0]]),
+];
+
+/// Every mode's trials on the long warm-ups match the uncached trial, in a
+/// first pass and in a second pass that resumes each seed from the
+/// deepest snapshot on its own path, and the trie's statistics are the
+/// ones it had while the generator was stepped past the warm-up.
+#[test]
+fn long_warmup_resumes_match_across_modes() {
+    let mut table = String::new();
+    let mut observed: Vec<(&str, Vec<[u64; 5]>)> = Vec::new();
+    for (name, allocating) in [("local warm-up", false), ("allocating warm-up", true)] {
+        let program = long_warmup_program(allocating);
+        let entries =
+            SnapshotMode::ALL.map(|mode| EntryCache::new(SnapshotOptions::with_mode(mode)));
+        let mut stats: Vec<[u64; 5]> = Vec::new();
+        let potential =
+            detector::predict_races(&program, "main", &detector::PredictConfig::default())
+                .expect("prediction succeeds");
+        assert!(!potential.is_empty(), "{name}: no predicted pair");
+        for pair in potential {
+            let [off, prologue, trie] = entries.clone().map(PairCache::new);
+            let plain: Vec<String> = LONG_WARMUP_SEEDS
+                .iter()
+                .map(|&seed| {
+                    let outcome = fuzz_pair_once(&program, "main", pair, &FuzzConfig::seeded(seed))
+                        .expect("uncached trial succeeds");
+                    format!("{outcome:#?}")
+                })
+                .collect();
+            let passes = [vec![&off, &prologue, &trie], vec![&trie]];
+            for (pass, caches) in passes.iter().enumerate() {
+                for (&seed, plain) in LONG_WARMUP_SEEDS.iter().zip(&plain) {
+                    let config = FuzzConfig::seeded(seed);
+                    for cache in caches {
+                        let cached =
+                            fuzz_pair_once_cached(&program, "main", pair, &config, Some(cache))
+                                .expect("cached trial succeeds");
+                        assert_eq!(
+                            &format!("{cached:#?}"),
+                            plain,
+                            "{name}: {pair:?} seed {seed} (pass {pass}) under {}",
+                            cache.options().mode.name()
+                        );
+                    }
+                }
+            }
+            let SnapshotStats {
+                trials,
+                cache_hits,
+                fast_forwarded_steps,
+                captures,
+                evictions,
+            } = trie.stats();
+            stats.push([
+                trials,
+                cache_hits,
+                fast_forwarded_steps,
+                captures,
+                evictions,
+            ]);
+        }
+        let _ = writeln!(table, "    ({name:?}, &{stats:?}),");
+        observed.push((name, stats));
+    }
+    let expected: Vec<(&str, Vec<[u64; 5]>)> = EXPECTED_LONG_WARMUP_TRIE_STATS
+        .iter()
+        .map(|&(name, stats)| (name, stats.to_vec()))
+        .collect();
+    assert!(
+        observed == expected,
+        "long-warm-up trie statistics differ from the recorded ones; observed:\n{table}"
     );
 }

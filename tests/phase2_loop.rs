@@ -23,6 +23,11 @@
 //! monitor limits, capture ticks and options that stop a replay inside a
 //! window. Their trie statistics, in [`EXPECTED_SPIN_TRIE_STATS`], were
 //! recorded on the loop as it was before spin windows were replayed.
+//!
+//! The `long_warmup` case resumes every trial past a 50,000-iteration
+//! warm-up, where `Rng::discard` jumps instead of stepping; its trie
+//! statistics, in [`EXPECTED_LONG_WARMUP_TRIE_STATS`], were recorded
+//! while `discard` still stepped.
 
 mod support;
 
@@ -1026,6 +1031,138 @@ fn spin_windows_under_the_trie_match_the_frozen_loop() {
     assert!(
         observed == expected,
         "spin-window trie statistics differ from the recorded ones; observed:\n{table}"
+    );
+}
+
+/// Iterations of the local warm-up in [`long_warmup_source`].
+const LONG_WARMUP: u64 = 50_000;
+
+/// A `main` that runs a local warm-up of [`LONG_WARMUP`] iterations, with
+/// or without an allocation in each, before it spawns two workers that
+/// race on `hits` and `last`. Every resume from its prologue, and every
+/// trie walk past it, discards hundreds of thousands of RNG draws: far
+/// above the count where `Rng::discard` stops stepping and jumps. Each
+/// worker's local loop after its racy write is long enough for the trie to
+/// capture there.
+fn long_warmup_source(allocating: bool) -> String {
+    let alloc = if allocating { "pad = new Pad;" } else { "" };
+    format!(
+        r#"
+        class Pad {{ a, b }}
+        global hits = 0;
+        global last = 0;
+        global sink = 0;
+        proc worker(k, n) {{
+            var j = 0;
+            while (j < n) {{
+                hits = hits + k;
+                var x = 0;
+                while (x < 120) {{ x = x + 1; }}
+                j = j + 1;
+            }}
+            last = k;
+        }}
+        proc main() {{
+            var acc = 7;
+            var pad = null;
+            var i = 0;
+            while (i < {LONG_WARMUP}) {{
+                acc = (acc * 31 + i) % 1000003;
+                {alloc}
+                i = i + 1;
+            }}
+            var t1 = spawn worker(1, 3);
+            var t2 = spawn worker(2, 3);
+            join t1;
+            join t2;
+            sink = acc;
+            print hits;
+        }}
+    "#
+    )
+}
+
+/// Seeds per long-warm-up pair.
+const LONG_WARMUP_SEEDS: [u64; 4] = [1, 2, 3, 4];
+
+/// Per long-warm-up program (local, then allocating): the `SnapshotStats`
+/// of each predicted pair after two passes of the [`LONG_WARMUP_SEEDS`]
+/// trials under `PrefixTrie`, as `[trials, cache_hits,
+/// fast_forwarded_steps, captures, evictions]`. Recorded by this test
+/// while `Rng::discard` still stepped one draw at a time.
+#[rustfmt::skip]
+const EXPECTED_LONG_WARMUP_TRIE_STATS: &[(&str, &[[u64; 5]])] = &[
+    ("local warm-up", &[[8, 8, 1605020, 15, 0], [8, 8, 1602848, 11, 0], [8, 8, 1600032, 0, 0]]),
+    ("allocating warm-up", &[[8, 8, 2400032, 26, 18], [8, 8, 2400032, 24, 16], [8, 8, 2400032, 0, 0]]),
+];
+
+/// Long warm-ups under all three snapshot modes: resumes and trie walks
+/// jump the generator past the warm-up's draws, and every outcome must
+/// still be the frozen loop's, with the trie statistics the stepping
+/// generator produced.
+#[test]
+fn long_warmup_pairs_match_the_frozen_loop() {
+    let mut table = String::new();
+    let mut observed: Vec<(&str, Vec<[u64; 5]>)> = Vec::new();
+    for (name, allocating) in [("local warm-up", false), ("allocating warm-up", true)] {
+        let program = cil::compile(&long_warmup_source(allocating)).expect("fixture compiles");
+        let entries =
+            SnapshotMode::ALL.map(|mode| EntryCache::new(SnapshotOptions::with_mode(mode)));
+        let mut stats: Vec<[u64; 5]> = Vec::new();
+        for pair in predicted(&program) {
+            let [off, prologue, trie] = entries.clone().map(PairCache::new);
+            let expected: Vec<String> = LONG_WARMUP_SEEDS
+                .iter()
+                .map(|&seed| {
+                    let config = FuzzConfig::seeded(seed);
+                    format!("{:?}", frozen_loop(&program, &pair_set(pair), &config))
+                })
+                .collect();
+            // The second pass resumes each seed from the deepest snapshot
+            // on its own path, past the first non-forced choice.
+            let passes = [vec![&off, &prologue, &trie], vec![&trie]];
+            for (pass, caches) in passes.iter().enumerate() {
+                for (&seed, expected) in LONG_WARMUP_SEEDS.iter().zip(&expected) {
+                    let config = FuzzConfig::seeded(seed);
+                    for cache in caches {
+                        let actual =
+                            fuzz_pair_once_cached(&program, "main", pair, &config, Some(cache))
+                                .expect("entry resolves");
+                        assert_eq!(
+                            &format!("{actual:?}"),
+                            expected,
+                            "{name}: {pair:?} seed {seed} (pass {pass}) under {:?} diverges \
+                             from the frozen loop",
+                            cache.options().mode
+                        );
+                    }
+                }
+            }
+            let SnapshotStats {
+                trials,
+                cache_hits,
+                fast_forwarded_steps,
+                captures,
+                evictions,
+            } = trie.stats();
+            stats.push([
+                trials,
+                cache_hits,
+                fast_forwarded_steps,
+                captures,
+                evictions,
+            ]);
+        }
+        let _ = writeln!(table, "    ({name:?}, &{stats:?}),");
+        observed.push((name, stats));
+    }
+    let expected: Vec<(&str, Vec<[u64; 5]>)> = EXPECTED_LONG_WARMUP_TRIE_STATS
+        .iter()
+        .map(|&(name, stats)| (name, stats.to_vec()))
+        .collect();
+    assert!(
+        observed == expected,
+        "long-warm-up trie statistics differ from the recorded ones; observed:\n{table}"
     );
 }
 
