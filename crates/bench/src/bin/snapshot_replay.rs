@@ -19,8 +19,10 @@
 //! scratch/snapshot reuse removes allocator traffic rather than shifting
 //! noise, and `VmHWM` is recorded so cache residency shows up as a number.
 //! A final sweep runs `analyze` over every Table-1 workload with snapshots
-//! off vs on — the no-regression panorama (identity of the *reports* is
-//! pinned separately by the `snapshot_identity` test suite).
+//! off vs on, five times per mode with the modes alternating, and records
+//! each row's median and min–max — the no-regression panorama (identity of
+//! the *reports* is pinned separately by the `snapshot_identity` test
+//! suite).
 //!
 //! Results are written as `BENCH_snapshot_replay.json`. With `--check` the
 //! process exits non-zero if the trie's speedup over `fresh` falls below
@@ -343,34 +345,98 @@ fn run_workload(workload: &BenchWorkload, trials: u64, table: &mut TextTable) ->
     results
 }
 
+/// Timings per mode per Table-1 row in the sweep. One timing per row
+/// swung by up to 0.58x between runs of one build on a 2-vCPU VM.
+const SWEEP_REPS: usize = 5;
+
 /// The Table-1 panorama: `analyze` end to end (Phase 1 + Phase 2, every
 /// predicted pair) with snapshots off vs the default trie, as a
-/// no-regression ratio on realistic programs.
+/// no-regression ratio on realistic programs. Each row is timed
+/// [`SWEEP_REPS`] times per mode, the two modes alternating which runs
+/// first, and reports the median and min–max of each mode's wall time and
+/// of the per-repetition off/trie ratio.
 fn run_sweep(table: &mut TextTable) -> Vec<Json> {
     let mut rows = Vec::new();
     for workload in workloads::all() {
-        let mut wall = [0.0f64; 2];
-        for (slot, mode) in [SnapshotMode::Off, SnapshotMode::PrefixTrie].iter().enumerate() {
-            let options = AnalyzeOptions::with_trials(30).snapshot_mode(*mode);
-            let start = Instant::now();
-            analyze(&workload.program, workload.entry, &options).expect("analysis succeeds");
-            wall[slot] = start.elapsed().as_secs_f64();
+        let mut off = Vec::with_capacity(SWEEP_REPS);
+        let mut trie = Vec::with_capacity(SWEEP_REPS);
+        for rep in 0..SWEEP_REPS {
+            let mut modes = [SnapshotMode::Off, SnapshotMode::PrefixTrie];
+            if rep % 2 == 1 {
+                modes.reverse();
+            }
+            for mode in modes {
+                let options = AnalyzeOptions::with_trials(30).snapshot_mode(mode);
+                let start = Instant::now();
+                analyze(&workload.program, workload.entry, &options).expect("analysis succeeds");
+                let wall = start.elapsed().as_secs_f64();
+                match mode {
+                    SnapshotMode::Off => off.push(wall),
+                    _ => trie.push(wall),
+                }
+            }
         }
-        let ratio = wall[0] / wall[1].max(f64::EPSILON);
+        let ratios: Vec<f64> = off
+            .iter()
+            .zip(&trie)
+            .map(|(off, trie)| off / trie.max(f64::EPSILON))
+            .collect();
+        let [off, trie, ratio] = [off, trie, ratios].map(Spread::of);
         table.row([
             workload.name.to_owned(),
-            format!("{:.1}ms", wall[0] * 1e3),
-            format!("{:.1}ms", wall[1] * 1e3),
-            format!("{ratio:.2}x"),
+            off.render(1e3, "ms"),
+            trie.render(1e3, "ms"),
+            ratio.render(1.0, "x"),
         ]);
         rows.push(Json::obj(vec![
             ("workload", Json::str(workload.name)),
-            ("off_ms", Json::Str(format!("{:.2}", wall[0] * 1e3))),
-            ("trie_ms", Json::Str(format!("{:.2}", wall[1] * 1e3))),
-            ("ratio", Json::Str(format!("{ratio:.2}"))),
+            ("reps", Json::u64(SWEEP_REPS as u64)),
+            ("off_ms", Json::Str(format!("{:.2}", off.median * 1e3))),
+            ("off_ms_min", Json::Str(format!("{:.2}", off.min * 1e3))),
+            ("off_ms_max", Json::Str(format!("{:.2}", off.max * 1e3))),
+            ("trie_ms", Json::Str(format!("{:.2}", trie.median * 1e3))),
+            ("trie_ms_min", Json::Str(format!("{:.2}", trie.min * 1e3))),
+            ("trie_ms_max", Json::Str(format!("{:.2}", trie.max * 1e3))),
+            ("ratio", Json::Str(format!("{:.2}", ratio.median))),
+            ("ratio_min", Json::Str(format!("{:.2}", ratio.min))),
+            ("ratio_max", Json::Str(format!("{:.2}", ratio.max))),
         ]));
     }
     rows
+}
+
+/// Median and range of a few timings or ratios.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut values: Vec<f64>) -> Spread {
+        values.sort_by(f64::total_cmp);
+        let mid = values.len() / 2;
+        let median = if values.len() % 2 == 1 {
+            values[mid]
+        } else {
+            (values[mid - 1] + values[mid]) / 2.0
+        };
+        Spread {
+            median,
+            min: values[0],
+            max: values[values.len() - 1],
+        }
+    }
+
+    fn render(&self, scale: f64, unit: &str) -> String {
+        format!(
+            "{:.2}{unit} [{:.2}–{:.2}]",
+            self.median * scale,
+            self.min * scale,
+            self.max * scale
+        )
+    }
 }
 
 fn main() -> ExitCode {
@@ -379,7 +445,13 @@ fn main() -> ExitCode {
     println!("snapshot-accelerated replay — {trials} trials per strategy\n");
 
     let mut table = TextTable::new([
-        "workload", "mode", "wall", "trials/s", "speedup", "hit rate", "ff steps/trial",
+        "workload",
+        "mode",
+        "wall",
+        "trials/s",
+        "speedup",
+        "hit rate",
+        "ff steps/trial",
         "allocs/trial",
     ]);
     let mut workload_rows = Vec::new();
@@ -419,7 +491,10 @@ fn main() -> ExitCode {
 
     let mut sweep_table = TextTable::new(["workload", "off", "trie", "ratio"]);
     let sweep = run_sweep(&mut sweep_table);
-    println!("Table-1 end-to-end sweep (analyze, 30 trials/pair):\n");
+    println!(
+        "Table-1 end-to-end sweep (analyze, 30 trials/pair; median [min–max] of \
+         {SWEEP_REPS} timings per mode):\n"
+    );
     println!("{}", sweep_table.render());
 
     let peak_rss = peak_rss_kib();

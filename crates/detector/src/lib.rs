@@ -42,8 +42,8 @@ pub use report::RacePair;
 pub use shadow::EpochEngine;
 
 use interp::{
-    drive, drive_prefix, Execution, Limits, Observer, RandomScheduler, RoundRobinScheduler,
-    Scheduler, SetupError, ThreadId,
+    drive, drive_prefix_capturing, Execution, Limits, Observer, Prologue, RandomScheduler,
+    RoundRobinScheduler, Scheduler, SetupError, Termination, ThreadId,
 };
 use std::collections::BTreeSet;
 
@@ -100,6 +100,29 @@ pub fn predict_races(
     })
 }
 
+/// [`predict_races`], plus the entry [`Prologue`] its observation runs
+/// passed through, for Phase 2 to fork its trials from instead of running
+/// the warm-up again.
+///
+/// The prologue is captured under `config.limits`; it is `None` when the
+/// program has none, or when the shared prefix was cut short by the step
+/// limit before the prologue's end or by a deadline or an engine error
+/// anywhere.
+///
+/// # Errors
+///
+/// Returns [`SetupError`] if `entry` does not name a zero-argument
+/// procedure.
+pub fn predict_races_with_prologue(
+    program: &cil::Program,
+    entry: &str,
+    config: &PredictConfig,
+) -> Result<(Vec<RacePair>, Option<Prologue>), SetupError> {
+    predict_with_prologue(program, entry, config, EpochEngine::new, |engine| {
+        engine.races().collect()
+    })
+}
+
 /// The engine-generic prediction loop behind [`predict_races`]: one fair
 /// round-robin run plus one random run per seed, racing pairs unioned in
 /// stable order.
@@ -122,8 +145,19 @@ pub fn predict_with<E: Observer + Clone>(
     new_engine: impl Fn(Policy) -> E,
     races: impl Fn(&E) -> Vec<RacePair>,
 ) -> Result<Vec<RacePair>, SetupError> {
+    predict_with_prologue(program, entry, config, new_engine, races).map(|(races, _)| races)
+}
+
+/// [`predict_with`], plus the prologue [`observe`] captured.
+fn predict_with_prologue<E: Observer + Clone>(
+    program: &cil::Program,
+    entry: &str,
+    config: &PredictConfig,
+    new_engine: impl Fn(Policy) -> E,
+    races: impl Fn(&E) -> Vec<RacePair>,
+) -> Result<(Vec<RacePair>, Option<Prologue>), SetupError> {
     let mut all: BTreeSet<RacePair> = BTreeSet::new();
-    observe(
+    let prologue = observe(
         program,
         entry,
         &config.seeds,
@@ -131,7 +165,7 @@ pub fn predict_with<E: Observer + Clone>(
         new_engine(config.policy),
         |engine| all.extend(races(engine)),
     )?;
-    Ok(all.into_iter().collect())
+    Ok((all.into_iter().collect(), prologue))
 }
 
 /// The Phase-1 observation loop shared by races, deadlocks and atomicity:
@@ -144,7 +178,7 @@ pub fn predict_with<E: Observer + Clone>(
 /// single-threaded entry prefix runs once. Until the first `spawn` the only
 /// enabled thread is thread 0, so every schedule's pick is forced and the
 /// machine and observer states there are the same for all of them. The
-/// prefix runs once under [`drive_prefix`]; each schedule then resumes a
+/// prefix runs once under [`drive_prefix_capturing`]; each schedule then resumes a
 /// snapshot of that state with a clone of the observer, replays the forced
 /// picks on its scheduler (so a round-robin quantum or a random stream ends
 /// where the unshared run leaves it), and [`drive`]s to the end.
@@ -155,13 +189,21 @@ pub(crate) fn observe<E: Observer + Clone>(
     limits: Limits,
     mut observer: E,
     mut collect: impl FnMut(&E),
-) -> Result<(), SetupError> {
+) -> Result<Option<Prologue>, SetupError> {
     let mut exec = Execution::new(program, entry)?;
     let started = std::time::Instant::now();
-    let Ok(forced) = drive_prefix(&mut exec, &mut observer, limits) else {
-        // The prefix ended the run, so every schedule ends here too.
-        collect(&observer);
-        return Ok(());
+    let (prefix, prologue) = drive_prefix_capturing(&mut exec, &mut observer, limits);
+    let forced = match prefix {
+        Ok(forced) => forced,
+        Err(termination) => {
+            // The prefix ended the run, so every schedule ends here too.
+            collect(&observer);
+            let cut = matches!(
+                termination,
+                Termination::DeadlineExceeded | Termination::EngineError(_)
+            );
+            return Ok(prologue.filter(|_| !cut));
+        }
     };
     // Each schedule's deadline counts the shared prefix, as its own run
     // would have.
@@ -185,7 +227,7 @@ pub(crate) fn observe<E: Observer + Clone>(
         drive(&mut exec, scheduler.as_mut(), &mut observer, limits);
         collect(&observer);
     }
-    Ok(())
+    Ok(prologue)
 }
 
 #[cfg(test)]

@@ -59,8 +59,9 @@ pub use exec::{ExecError, Execution, SetupError, Snapshot, StepResult};
 pub use heap::{Heap, HeapCell};
 pub use rng::Rng;
 pub use sched::{
-    drive, drive_prefix, run_with, Limits, RandomScheduler, RaposScheduler, RoundRobinScheduler,
-    RunOutcome, RunToBlockScheduler, Scheduler, Termination,
+    drive, drive_prefix, drive_prefix_capturing, run_prologue, run_with, Limits, Prologue,
+    RandomScheduler, RaposScheduler, RoundRobinScheduler, RunOutcome, RunToBlockScheduler,
+    Scheduler, Termination,
 };
 pub use thread::{Status, ThreadState, UncaughtException};
 pub use value::{ObjId, ThreadId, Value};

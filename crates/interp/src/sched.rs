@@ -8,10 +8,12 @@
 //!
 //! [`drive`] runs an execution to the end under a scheduler;
 //! [`drive_prefix`] runs only its single-threaded entry prefix, where every
-//! scheduler's pick is forced, so several schedules can share it.
+//! scheduler's pick is forced, so several schedules can share it; the
+//! start of that prefix, up to the first shared access or `spawn`, is the
+//! [`Prologue`] every Phase-2 trial shares as well.
 
 use crate::event::Observer;
-use crate::exec::{Execution, SetupError, StepResult};
+use crate::exec::{Execution, SetupError, Snapshot, StepResult};
 use crate::rng::Rng;
 use crate::thread::UncaughtException;
 use crate::value::ThreadId;
@@ -429,20 +431,120 @@ pub fn drive_prefix(
     observer: &mut dyn Observer,
     limits: Limits,
 ) -> Result<u64, Termination> {
-    /// Picks thread 0 while it is the only thread, then stops.
-    struct Forced;
-    impl Scheduler for Forced {
-        fn pick(&mut self, exec: &Execution<'_>, enabled: &[ThreadId]) -> Option<ThreadId> {
-            (exec.thread_count() == 1 && enabled == [ThreadId(0)]).then_some(ThreadId(0))
-        }
-    }
+    drive_prefix_capturing(exec, observer, limits).0
+}
+
+/// [`drive_prefix`] on a fresh execution that also captures the entry
+/// [`Prologue`] it passes through on its way to the first `spawn`, at the
+/// cost of one copy-on-write snapshot.
+///
+/// The capture is `None` when the prefix ended (by the step limit, the
+/// deadline or an engine error) before the prologue's end, or when the
+/// prologue is empty.
+pub fn drive_prefix_capturing(
+    exec: &mut Execution<'_>,
+    observer: &mut dyn Observer,
+    limits: Limits,
+) -> (Result<u64, Termination>, Option<Prologue>) {
     let start = exec.steps();
-    match drive(exec, &mut Forced, observer, limits) {
+    let mut forced = Forced::new(false);
+    let termination = drive(exec, &mut forced, observer, limits);
+    let snapshot = match (forced.captured, &termination) {
+        (Some(snapshot), _) => Some(snapshot),
+        // Thread 0 blocked or finished without reaching a boundary
+        // statement: the prologue ends where the run does.
+        (None, Termination::AllExited | Termination::Deadlock(_)) => Some(exec.snapshot()),
+        (None, _) => None,
+    };
+    let prologue = snapshot.and_then(|snapshot| Prologue::new(snapshot, start));
+    let prefix = match termination {
         Termination::SchedulerStopped | Termination::AllExited | Termination::Deadlock(_) => {
             Ok(exec.steps() - start)
         }
         termination => Err(termination),
+    };
+    (prefix, prologue)
+}
+
+/// Runs the entry prologue of a fresh execution alone: steps thread 0
+/// while its pick is forced, and stops at the prologue's end or wherever
+/// `limits` or an engine error ends the run first. Returns the state there,
+/// or `None` if no statement ran.
+pub fn run_prologue(exec: &mut Execution<'_>, limits: Limits) -> Option<Prologue> {
+    let start = exec.steps();
+    drive(
+        exec,
+        &mut Forced::new(true),
+        &mut crate::event::NullObserver,
+        limits,
+    );
+    Prologue::new(exec.snapshot(), start)
+}
+
+/// The entry prologue of a run: its state at the first decision where
+/// thread 0's next statement is a shared-memory access or a `spawn`, or
+/// where thread 0 is blocked or gone. Every decision before it is forced
+/// and every statement before it is local, so the state and the number of
+/// forced scheduler draws taken to reach it (one per statement) are the
+/// same for every schedule, seed and race set of the program — Phase 1
+/// passes through it and Phase 2 forks its trials from it.
+#[derive(Clone)]
+pub struct Prologue {
+    /// The state at the end of the prologue.
+    pub snapshot: Snapshot,
+    /// Forced decisions (and statements) from the start of the run.
+    pub forced: u64,
+}
+
+impl Prologue {
+    fn new(snapshot: Snapshot, start: u64) -> Option<Prologue> {
+        let forced = snapshot.steps() - start;
+        (forced > 0).then_some(Prologue { snapshot, forced })
     }
+}
+
+/// Picks thread 0 while it is the only thread, then stops. On the way it
+/// snapshots the end of the entry prologue, or stops there if
+/// `stop_at_prologue`.
+struct Forced {
+    stop_at_prologue: bool,
+    captured: Option<Snapshot>,
+}
+
+impl Forced {
+    fn new(stop_at_prologue: bool) -> Self {
+        Forced {
+            stop_at_prologue,
+            captured: None,
+        }
+    }
+}
+
+impl Scheduler for Forced {
+    fn pick(&mut self, exec: &Execution<'_>, enabled: &[ThreadId]) -> Option<ThreadId> {
+        if self.captured.is_none() && ends_prologue(exec) {
+            if self.stop_at_prologue {
+                return None;
+            }
+            self.captured = Some(exec.snapshot());
+        }
+        (exec.thread_count() == 1 && enabled == [ThreadId(0)]).then_some(ThreadId(0))
+    }
+}
+
+/// The prologue's boundary rule: thread 0 is not the only thread, is not
+/// runnable, or is about to access shared memory or `spawn`. Race-set
+/// members are memory accesses, so no statement before the boundary can
+/// be one.
+fn ends_prologue(exec: &Execution<'_>) -> bool {
+    if exec.thread_count() != 1 || !exec.is_enabled(ThreadId(0)) {
+        return true;
+    }
+    let Some(instr) = exec.next_instr(ThreadId(0)) else {
+        return true;
+    };
+    let instr = exec.program().instr(instr);
+    instr.is_memory_access() || matches!(instr, cil::flat::Instr::Spawn { .. })
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@
 
 use crate::config::FuzzConfig;
 use crate::outcome::RealRaceEvent;
-use interp::{Execution, NullObserver, Rng, Snapshot, ThreadId};
+use interp::{Execution, Limits, Prologue, Rng, Snapshot, ThreadId};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -160,6 +160,18 @@ pub(crate) struct TrialSnapshot {
 }
 
 impl TrialSnapshot {
+    /// A trial's state at the end of the entry prologue: every decision
+    /// before it made one forced draw.
+    fn prologue(prologue: Prologue) -> Self {
+        TrialSnapshot {
+            exec: prologue.snapshot,
+            postponed: Vec::new(),
+            races: Vec::new(),
+            decisions: prologue.forced,
+            draws: prologue.forced,
+        }
+    }
+
     fn approx_bytes(&self) -> u64 {
         self.exec.approx_bytes()
             + (self.postponed.len() * 16) as u64
@@ -274,9 +286,9 @@ enum PrologueSlot {
     Ready(Option<Arc<TrialSnapshot>>),
 }
 
-/// Per-`(program, entry)` shared state: the options and the lazily
-/// computed entry-prologue snapshot. One of these is shared by every
-/// [`PairCache`] of an analysis run.
+/// Per-`(program, entry)` shared state: the options and the entry-prologue
+/// snapshot, computed on first use unless Phase 1 handed it over. One of
+/// these is shared by every [`PairCache`] of an analysis run.
 pub struct EntryCache {
     options: SnapshotOptions,
     prologue: Mutex<PrologueSlot>,
@@ -291,23 +303,52 @@ impl EntryCache {
         })
     }
 
+    /// [`EntryCache::new`], with the prologue slot filled from the one
+    /// Phase 1 captured under `phase1` limits
+    /// ([`detector::predict_races_with_prologue`]) when that capture is the
+    /// state [`compute_prologue`] would produce under `config`: the
+    /// prologue is enabled, both runs had the same heap budget, and its end
+    /// lies below `config`'s step limit, so Phase 2 would not cut it short.
+    /// (A capture always lies below Phase 1's own step limit: `drive`
+    /// checks it before every decision.) Otherwise the slot stays lazy.
+    pub(crate) fn with_prologue(
+        options: SnapshotOptions,
+        prologue: Option<Prologue>,
+        phase1: &Limits,
+        config: &FuzzConfig,
+    ) -> Arc<Self> {
+        let handed = prologue.filter(|prologue| {
+            !config.switch_only_at_sync
+                && phase1.max_heap_cells == config.max_heap_cells
+                && prologue.snapshot.steps() < config.max_steps
+        });
+        let slot = match handed {
+            Some(prologue) => {
+                PrologueSlot::Ready(Some(Arc::new(TrialSnapshot::prologue(prologue))))
+            }
+            None => PrologueSlot::NotComputed,
+        };
+        Arc::new(EntryCache {
+            options,
+            prologue: Mutex::new(slot),
+        })
+    }
+
     /// The options this cache was built with.
     pub fn options(&self) -> SnapshotOptions {
         self.options
     }
 
+    /// Whether the prologue slot is filled.
+    #[cfg(test)]
+    pub(crate) fn prologue_ready(&self) -> bool {
+        matches!(
+            *self.prologue.lock().expect("prologue lock"),
+            PrologueSlot::Ready(_)
+        )
+    }
+
     /// The entry-prologue snapshot, computed on first use.
-    ///
-    /// The prologue runs the scheduler loop's deterministic single-thread
-    /// special case — one forced draw and one step per decision — and
-    /// stops at the first loop-top where the next instruction is a
-    /// shared-memory access or a `spawn`, the thread count grew, the
-    /// thread blocked, or a budget tripped. Every statement before that
-    /// point is outside every race set (race-set members are memory
-    /// accesses), so the captured state and draw count are identical for
-    /// every pair and seed. Disabled under `switch_only_at_sync`, where
-    /// the first draw covers a whole run-to-sync segment and an early stop
-    /// would not be a loop-top.
     fn prologue(
         &self,
         program: &cil::Program,
@@ -324,6 +365,16 @@ impl EntryCache {
     }
 }
 
+/// The entry prologue under `config` ([`interp::run_prologue`]): the state
+/// at the first loop-top where the next instruction is a shared-memory
+/// access or a `spawn`, the thread blocked or exited, or the step budget
+/// or an engine error ended the run. The scheduler loop's single-thread
+/// decisions there are one forced draw and one step each, and every
+/// statement before that point is outside every race set (race-set
+/// members are memory accesses), so the state and draw count are identical
+/// for every pair and seed. Disabled under `switch_only_at_sync`, where the
+/// first draw covers a whole run-to-sync segment and an early stop would
+/// not be a loop-top.
 fn compute_prologue(
     program: &cil::Program,
     entry: &str,
@@ -333,39 +384,12 @@ fn compute_prologue(
         return None;
     }
     let mut exec = Execution::new(program, entry).ok()?;
-    exec.set_heap_budget(config.max_heap_cells);
-    let mut draws: u64 = 0;
-    loop {
-        if exec.engine_error().is_some() || exec.steps() >= config.max_steps {
-            break;
-        }
-        if exec.thread_count() != 1 || !exec.is_enabled(ThreadId(0)) {
-            break;
-        }
-        let Some(instr) = exec.next_instr(ThreadId(0)) else {
-            break;
-        };
-        let instr = program.instr(instr);
-        if instr.is_memory_access() || matches!(instr, cil::flat::Instr::Spawn { .. }) {
-            break;
-        }
-        // One scheduler decision: the sole candidate is picked by a forced
-        // draw, the statement is untargeted (no memory access can be in a
-        // race set here), and the end-of-iteration all-postponed check
-        // never fires with an empty postponed set.
-        draws += 1;
-        exec.step(ThreadId(0), &mut NullObserver);
-    }
-    if draws == 0 {
-        return None;
-    }
-    Some(TrialSnapshot {
-        exec: exec.snapshot(),
-        postponed: Vec::new(),
-        races: Vec::new(),
-        decisions: draws,
-        draws,
-    })
+    let limits = Limits {
+        max_steps: config.max_steps,
+        deadline: None,
+        max_heap_cells: config.max_heap_cells,
+    };
+    interp::run_prologue(&mut exec, limits).map(TrialSnapshot::prologue)
 }
 
 /// The per-pair snapshot cache: decision-prefix trie plus statistics.

@@ -8,15 +8,20 @@
 //! number. These tests pin that promise over every Table-1 workload, all
 //! three modes, sequential and parallel pools, adversarial seed sweeps,
 //! a 1-snapshot memory budget, and prologues long enough that every resume
-//! jumps the RNG instead of stepping it.
+//! jumps the RNG instead of stepping it. The `prologue_handoff_` cases pin
+//! that `analyze`, which forks Phase 2 from the prologue Phase 1 captured,
+//! matches the lazy path that computes the prologue on its first trial.
 
 use proptest::prelude::*;
 use racefuzzer::snapshot::{EntryCache, PairCache};
 use racefuzzer::{
-    analyze, fuzz_pair_once, fuzz_pair_once_cached, AnalysisReport, AnalyzeOptions, FuzzConfig,
-    SnapshotMode, SnapshotOptions, SnapshotStats,
+    analyze, fuzz_pair_once, fuzz_pair_once_cached, gather_candidates, AnalysisReport,
+    AnalyzeOptions, CandidateSource, FuzzConfig, PairReport, SnapshotMode, SnapshotOptions,
+    SnapshotStats,
 };
 use std::fmt::Write as _;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Trials per pair: small enough to keep the sweep fast, large enough to
 /// exercise hits, exceptions, deadlocks, and first-seed bookkeeping.
@@ -349,4 +354,227 @@ fn long_warmup_resumes_match_across_modes() {
         observed == expected,
         "long-warm-up trie statistics differ from the recorded ones; observed:\n{table}"
     );
+}
+
+/// `analyze` rebuilt from the public per-layer calls, with the prologue
+/// computed lazily on the first trial: `gather_candidates`, one
+/// `EntryCache::new`, then per pair a `PairCache` and per trial
+/// `fuzz_pair_once_cached`. Needs a snapshot mode other than `Off` and no
+/// static pruning.
+fn lazy_analyze(program: &cil::Program, options: &AnalyzeOptions) -> AnalysisReport {
+    let (potential, provenance) =
+        gather_candidates(program, "main", &options.predict, options.source)
+            .expect("candidates gather");
+    let shared = EntryCache::new(options.snapshots);
+    let pairs = potential
+        .iter()
+        .map(|&target| {
+            let cache = PairCache::new(Arc::clone(&shared));
+            let mut report = PairReport::empty(target);
+            for trial in 0..options.trials_per_pair {
+                let seed = options.base_seed + trial as u64;
+                let config = FuzzConfig {
+                    seed,
+                    ..options.fuzz.clone()
+                };
+                let outcome = fuzz_pair_once_cached(program, "main", target, &config, Some(&cache))
+                    .expect("cached trial succeeds");
+                report.absorb(seed, &outcome, program);
+            }
+            report.snapshots = Some(cache.stats());
+            report
+        })
+        .collect();
+    AnalysisReport {
+        potential,
+        provenance,
+        pairs,
+        pruned: Vec::new(),
+    }
+}
+
+/// Asserts that `analyze` and [`lazy_analyze`] give byte-identical reports
+/// and identical per-pair `SnapshotStats`, and that the case fuzzed at
+/// least one pair.
+fn assert_handoff_matches(name: &str, program: &cil::Program, options: &AnalyzeOptions) {
+    let handed = analyze(program, "main", options).expect("analysis succeeds");
+    let lazy = lazy_analyze(program, options);
+    assert!(!handed.pairs.is_empty(), "{name}: no pair to fuzz");
+    assert_eq!(render(&handed), render(&lazy), "{name}: reports differ");
+    let stats = |report: &AnalysisReport| -> Vec<Option<SnapshotStats>> {
+        report.pairs.iter().map(|pair| pair.snapshots).collect()
+    };
+    assert_eq!(
+        stats(&handed),
+        stats(&lazy),
+        "{name}: snapshot statistics differ"
+    );
+}
+
+fn handoff_options(mode: SnapshotMode) -> AnalyzeOptions {
+    AnalyzeOptions::with_trials(4).snapshot_mode(mode)
+}
+
+#[test]
+fn prologue_handoff_matches_lazy_path_on_workloads_and_long_warmups() {
+    for workload in workloads::all() {
+        assert_eq!(workload.entry, "main", "{}: entry", workload.name);
+        let options = handoff_options(SnapshotMode::PrefixTrie);
+        if analyze(&workload.program, "main", &options)
+            .expect("analysis succeeds")
+            .pairs
+            .is_empty()
+        {
+            continue;
+        }
+        assert_handoff_matches(workload.name, &workload.program, &options);
+    }
+    for allocating in [false, true] {
+        let program = long_warmup_program(allocating);
+        for mode in [SnapshotMode::PrologueOnly, SnapshotMode::PrefixTrie] {
+            let name = format!("long warm-up (allocating: {allocating}) {}", mode.name());
+            assert_handoff_matches(&name, &program, &handoff_options(mode));
+        }
+    }
+}
+
+/// A `main` whose prologue allocates, takes a lock on a local object and
+/// catches an exception it threw, then writes `out` (the prologue's end)
+/// one statement before it spawns two workers that race on `shared`.
+/// `prefix` runs first; `rounds` sets the prologue's length.
+fn busy_prologue_program(prefix: &str, rounds: u32) -> cil::Program {
+    cil::compile(&format!(
+        r#"
+        class Box {{ v }}
+        global shared = 0;
+        global out = 0;
+        proc worker(k) {{ shared = shared + k; }}
+        proc main() {{
+            {prefix}
+            var b = new Box;
+            var acc = 0;
+            var i = 0;
+            while (i < {rounds}) {{
+                var c = new Box;
+                sync (b) {{ acc = acc + i; }}
+                try {{
+                    if (i % 7 == 0) {{ throw Oops; }}
+                }} catch (Oops) {{
+                    acc = acc + 1;
+                }}
+                i = i + 1;
+            }}
+            out = acc;
+            var t1 = spawn worker(1);
+            var t2 = spawn worker(2);
+            shared = acc;
+            join t1;
+            join t2;
+            out = shared;
+        }}
+        "#
+    ))
+    .expect("fixture compiles")
+}
+
+#[test]
+fn prologue_handoff_matches_lazy_path_on_allocating_locking_catching_prefix() {
+    let program = busy_prologue_program("", 200);
+    for mode in [SnapshotMode::PrologueOnly, SnapshotMode::PrefixTrie] {
+        assert_handoff_matches(mode.name(), &program, &handoff_options(mode));
+    }
+}
+
+#[test]
+fn prologue_handoff_matches_lazy_path_without_a_prologue() {
+    for (name, prefix) in [
+        ("spawn first", "var t0 = spawn worker(3); join t0;"),
+        ("global first", "out = 1;"),
+    ] {
+        let program = busy_prologue_program(prefix, 20);
+        assert_handoff_matches(name, &program, &handoff_options(SnapshotMode::PrefixTrie));
+    }
+}
+
+#[test]
+fn prologue_handoff_matches_lazy_path_with_mismatched_heap_budgets() {
+    let program = busy_prologue_program("", 200);
+    // Phase 2's budget runs out inside the prologue, Phase 1's never does:
+    // the lazy prologue ends at the budget error, the captured one past it.
+    let mut tight_phase2 = handoff_options(SnapshotMode::PrefixTrie);
+    tight_phase2.fuzz.max_heap_cells = Some(120);
+    assert_handoff_matches("tight Phase-2 budget", &program, &tight_phase2);
+    // Both budgets hold, but they differ.
+    let mut loose_phase2 = handoff_options(SnapshotMode::PrefixTrie);
+    loose_phase2.fuzz.max_heap_cells = Some(1 << 20);
+    assert_handoff_matches("loose Phase-2 budget", &program, &loose_phase2);
+    // Phase 1's budget runs out inside the prologue; static candidates
+    // give Phase 2 pairs to fuzz.
+    let mut tight_phase1 = handoff_options(SnapshotMode::PrefixTrie).source(CandidateSource::Union);
+    tight_phase1.predict.limits.max_heap_cells = Some(120);
+    assert_handoff_matches("tight Phase-1 budget", &program, &tight_phase1);
+}
+
+#[test]
+fn prologue_handoff_matches_lazy_path_with_step_limits_inside_the_prefix() {
+    let program = busy_prologue_program("", 200);
+    // Phase 1 stops inside the prologue, at its end, and between its end
+    // and the first `spawn`; static candidates give Phase 2 pairs to fuzz.
+    let prologue = busy_prologue_steps(&program);
+    for max_steps in [prologue / 2, prologue, prologue + 1] {
+        let mut options = handoff_options(SnapshotMode::PrefixTrie).source(CandidateSource::Union);
+        options.predict.limits.max_steps = max_steps;
+        assert_handoff_matches(
+            &format!("Phase-1 max_steps {max_steps}"),
+            &program,
+            &options,
+        );
+    }
+    // Phase 2 stops inside the prologue, or exactly at its end.
+    for max_steps in [prologue / 2, prologue] {
+        let mut options = handoff_options(SnapshotMode::PrefixTrie);
+        options.fuzz.max_steps = max_steps;
+        assert_handoff_matches(
+            &format!("Phase-2 max_steps {max_steps}"),
+            &program,
+            &options,
+        );
+    }
+}
+
+/// Statements in [`busy_prologue_program`]'s prologue, as the snapshot
+/// layer reports them: the fast-forward of one prologue-only trial.
+fn busy_prologue_steps(program: &cil::Program) -> u64 {
+    let options = AnalyzeOptions::with_trials(1).snapshot_mode(SnapshotMode::PrologueOnly);
+    let report = lazy_analyze(program, &options);
+    let stats = report.pairs[0].snapshots.expect("cached pair");
+    assert_eq!(stats.cache_hits, 1, "the prologue is not empty");
+    stats.fast_forwarded_steps
+}
+
+#[test]
+fn prologue_handoff_matches_lazy_path_with_a_zero_phase1_deadline() {
+    for (name, program) in [
+        ("short prologue", busy_prologue_program("", 20)),
+        ("long prologue", long_warmup_program(false)),
+    ] {
+        let mut options = handoff_options(SnapshotMode::PrefixTrie).source(CandidateSource::Union);
+        options.predict.limits.deadline = Some(Duration::ZERO);
+        assert_handoff_matches(name, &program, &options);
+    }
+}
+
+#[test]
+fn prologue_handoff_matches_lazy_path_under_switch_only_at_sync() {
+    let program = busy_prologue_program("", 200);
+    let mut options = handoff_options(SnapshotMode::PrefixTrie);
+    options.fuzz.switch_only_at_sync = true;
+    assert_handoff_matches("switch_only_at_sync", &program, &options);
+}
+
+#[test]
+fn prologue_handoff_matches_lazy_path_with_static_candidates() {
+    let program = busy_prologue_program("", 200);
+    let options = handoff_options(SnapshotMode::PrefixTrie).source(CandidateSource::Static);
+    assert_handoff_matches("static candidates", &program, &options);
 }
