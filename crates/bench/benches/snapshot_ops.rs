@@ -64,10 +64,7 @@ fn warmed(program: &cil::Program, iters: usize) -> (Execution<'_>, Snapshot, u64
 fn bench_size(c: &mut Criterion, iters: usize) {
     let program = program(iters);
     let (exec, snap, steps) = warmed(&program, iters);
-    println!(
-        "snapshot_ops: {iters} iters = {steps} steps, snapshot ~{} bytes",
-        snap.approx_bytes()
-    );
+    println!("snapshot_ops: {iters} iters = {steps} steps");
 
     let mut group = c.benchmark_group("snapshot_ops");
 

@@ -2,18 +2,16 @@
 //! trial the copy-on-write forking layer avoids re-executing.
 //!
 //! RaceFuzzer trials over one `(program, entry)` re-run the same
-//! deterministic prefix — the single-threaded entry prologue, then every
-//! scheduling decision shared with an earlier seed — before they diverge.
-//! This harness quantifies the three execution strategies on workloads with
-//! deliberately long prologues:
+//! deterministic prefix — the single-threaded entry prologue — before they
+//! diverge. This harness quantifies the execution strategies on workloads
+//! with deliberately long prologues:
 //!
 //! * `fresh` — `fuzz_pair_once` in a loop: a new interpreter per trial
 //!   (the pre-snapshot baseline),
 //! * `scratch` — `fuzz_pair`: no snapshots, but one reused
 //!   [`racefuzzer::algorithm::TrialScratch`] across trials,
-//! * `prologue` — snapshot cache in [`SnapshotMode::PrologueOnly`],
-//! * `trie` — the full per-pair decision-prefix trie
-//!   ([`SnapshotMode::PrefixTrie`], the default).
+//! * `prologue` — every trial forks from the entry prologue
+//!   ([`SnapshotMode::PrologueOnly`], the default).
 //!
 //! A counting global allocator reports allocations per trial, proving the
 //! scratch/snapshot reuse removes allocator traffic rather than shifting
@@ -25,7 +23,7 @@
 //! suite).
 //!
 //! Results are written as `BENCH_snapshot_replay.json`. With `--check` the
-//! process exits non-zero if the trie's speedup over `fresh` falls below
+//! process exits non-zero if the prologue's speedup over `fresh` falls below
 //! 2.0x on any gated long-prologue workload, or if allocator traffic on an
 //! alloc-gated workload rises above the pooled floor (the interpreter's
 //! thread-local scratch pools keep per-trial setup allocations bounded;
@@ -48,13 +46,13 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The speedup bar for the prefix trie over the fresh-interpreter baseline
+/// The speedup bar for prologue forking over the fresh-interpreter baseline
 /// on gated (long-prologue) workloads.
 ///
 /// Recalibrated from 2.5x when the register-bytecode engine became the
 /// default: snapshots win by *skipping re-execution*, so making execution
 /// itself ~2x faster shrinks the relative win even as absolute trials/s
-/// rise in every mode (deep-suffix fresh 1.7k → 3.1k trials/s, trie
+/// rise in every mode (deep-suffix fresh 1.7k → 3.1k trials/s, snapshots
 /// 5.1k → 6.8k at the switch). The bar guards the snapshot layer against
 /// its own regressions, not against the interpreter getting faster.
 const GATE_SPEEDUP: f64 = 2.0;
@@ -69,8 +67,7 @@ const GATE_ALLOCS_PER_TRIAL: u64 = 16;
 /// A benchmark program with a named shape. `gate` marks the long-prologue
 /// workloads the `--check` bar applies to. `seed_period` cycles the seed
 /// space (`seed = i % period`) to model campaign retries and replays,
-/// where the same seed recurs and the trie resumes it from its deepest
-/// snapshot; `None` gives every trial a distinct seed.
+/// where the same seed recurs; `None` gives every trial a distinct seed.
 struct BenchWorkload {
     name: &'static str,
     source: &'static str,
@@ -84,8 +81,8 @@ struct BenchWorkload {
 
 /// The snapshot layer's favourite shape: a long pure-local warmup (no
 /// shared-memory access, so the entry prologue covers all of it), then a
-/// short racy suffix. `fresh` pays the warmup every trial; `prologue` and
-/// `trie` pay it once.
+/// short racy suffix. `fresh` pays the warmup every trial; `prologue` pays
+/// it once.
 const LONG_PROLOGUE: &str = r#"
     global z = 0;
     global sink = 0;
@@ -102,8 +99,8 @@ const LONG_PROLOGUE: &str = r#"
 "#;
 
 /// Long prologue *and* a long racy section: after the spawn the threads
-/// interleave over many scheduler choice points, so trials with shared
-/// decision prefixes resume from deep trie nodes, not just the prologue.
+/// interleave over many scheduler choice points, which every trial runs
+/// itself, so the prologue is a smaller share of each trial.
 const DEEP_SUFFIX: &str = r#"
     global z = 0;
     global done = 0;
@@ -265,15 +262,11 @@ fn run_workload(workload: &BenchWorkload, trials: u64, table: &mut TextTable) ->
     let mut results: Vec<ModeResult> = Vec::new();
     let mut baseline = None;
 
-    for mode in ["fresh", "scratch", "prologue", "trie"] {
+    for mode in ["fresh", "scratch", "prologue"] {
         if mode == "scratch" && workload.seed_period.is_some() {
             continue; // `fuzz_pair` runs consecutive seeds; it cannot cycle
         }
-        let cache = match mode {
-            "prologue" => Some(cache_for(SnapshotMode::PrologueOnly)),
-            "trie" => Some(cache_for(SnapshotMode::PrefixTrie)),
-            _ => None,
-        };
+        let cache = (mode == "prologue").then(|| cache_for(SnapshotMode::PrologueOnly));
         let (elapsed, allocs_per_trial) = match mode {
             "fresh" => measure(trials, |seed| {
                 fuzz_pair_once(&program, "main", pair, &FuzzConfig::seeded(seed % period))
@@ -350,18 +343,18 @@ fn run_workload(workload: &BenchWorkload, trials: u64, table: &mut TextTable) ->
 const SWEEP_REPS: usize = 5;
 
 /// The Table-1 panorama: `analyze` end to end (Phase 1 + Phase 2, every
-/// predicted pair) with snapshots off vs the default trie, as a
-/// no-regression ratio on realistic programs. Each row is timed
+/// predicted pair) with snapshots off vs the default prologue forking, as
+/// a no-regression ratio on realistic programs. Each row is timed
 /// [`SWEEP_REPS`] times per mode, the two modes alternating which runs
 /// first, and reports the median and min–max of each mode's wall time and
-/// of the per-repetition off/trie ratio.
+/// of the per-repetition off/prologue ratio.
 fn run_sweep(table: &mut TextTable) -> Vec<Json> {
     let mut rows = Vec::new();
     for workload in workloads::all() {
         let mut off = Vec::with_capacity(SWEEP_REPS);
-        let mut trie = Vec::with_capacity(SWEEP_REPS);
+        let mut prologue = Vec::with_capacity(SWEEP_REPS);
         for rep in 0..SWEEP_REPS {
-            let mut modes = [SnapshotMode::Off, SnapshotMode::PrefixTrie];
+            let mut modes = SnapshotMode::ALL;
             if rep % 2 == 1 {
                 modes.reverse();
             }
@@ -372,34 +365,35 @@ fn run_sweep(table: &mut TextTable) -> Vec<Json> {
                 let wall = start.elapsed().as_secs_f64();
                 match mode {
                     SnapshotMode::Off => off.push(wall),
-                    _ => trie.push(wall),
+                    SnapshotMode::PrologueOnly => prologue.push(wall),
                 }
             }
         }
         let ratios: Vec<f64> = off
             .iter()
-            .zip(&trie)
-            .map(|(off, trie)| off / trie.max(f64::EPSILON))
+            .zip(&prologue)
+            .map(|(off, prologue)| off / prologue.max(f64::EPSILON))
             .collect();
-        let [off, trie, ratio] = [off, trie, ratios].map(Spread::of);
+        let [off, prologue, ratio] = [off, prologue, ratios].map(Spread::of);
         table.row([
             workload.name.to_owned(),
             off.render(1e3, "ms"),
-            trie.render(1e3, "ms"),
+            prologue.render(1e3, "ms"),
             ratio.render(1.0, "x"),
         ]);
+        let fixed = |value: f64| Json::Str(format!("{value:.2}"));
         rows.push(Json::obj(vec![
             ("workload", Json::str(workload.name)),
             ("reps", Json::u64(SWEEP_REPS as u64)),
-            ("off_ms", Json::Str(format!("{:.2}", off.median * 1e3))),
-            ("off_ms_min", Json::Str(format!("{:.2}", off.min * 1e3))),
-            ("off_ms_max", Json::Str(format!("{:.2}", off.max * 1e3))),
-            ("trie_ms", Json::Str(format!("{:.2}", trie.median * 1e3))),
-            ("trie_ms_min", Json::Str(format!("{:.2}", trie.min * 1e3))),
-            ("trie_ms_max", Json::Str(format!("{:.2}", trie.max * 1e3))),
-            ("ratio", Json::Str(format!("{:.2}", ratio.median))),
-            ("ratio_min", Json::Str(format!("{:.2}", ratio.min))),
-            ("ratio_max", Json::Str(format!("{:.2}", ratio.max))),
+            ("off_ms", fixed(off.median * 1e3)),
+            ("off_ms_min", fixed(off.min * 1e3)),
+            ("off_ms_max", fixed(off.max * 1e3)),
+            ("prologue_ms", fixed(prologue.median * 1e3)),
+            ("prologue_ms_min", fixed(prologue.min * 1e3)),
+            ("prologue_ms_max", fixed(prologue.max * 1e3)),
+            ("ratio", fixed(ratio.median)),
+            ("ratio_min", fixed(ratio.min)),
+            ("ratio_max", fixed(ratio.max)),
         ]));
     }
     rows
@@ -458,14 +452,14 @@ fn main() -> ExitCode {
     let mut gate_failures = Vec::new();
     for workload in &WORKLOADS {
         let results = run_workload(workload, trials, &mut table);
-        let trie = results
+        let prologue = results
             .iter()
-            .find(|result| result.mode == "trie")
-            .expect("the trie strategy is always measured");
-        if workload.gate && trie.speedup < GATE_SPEEDUP {
+            .find(|result| result.mode == "prologue")
+            .expect("the prologue strategy is always measured");
+        if workload.gate && prologue.speedup < GATE_SPEEDUP {
             gate_failures.push(format!(
-                "{}: trie speedup {:.2}x < {GATE_SPEEDUP}x",
-                workload.name, trie.speedup
+                "{}: prologue speedup {:.2}x < {GATE_SPEEDUP}x",
+                workload.name, prologue.speedup
             ));
         }
         if workload.alloc_gate {
@@ -489,7 +483,7 @@ fn main() -> ExitCode {
     }
     println!("{}", table.render());
 
-    let mut sweep_table = TextTable::new(["workload", "off", "trie", "ratio"]);
+    let mut sweep_table = TextTable::new(["workload", "off", "prologue", "ratio"]);
     let sweep = run_sweep(&mut sweep_table);
     println!(
         "Table-1 end-to-end sweep (analyze, 30 trials/pair; median [min–max] of \
@@ -534,7 +528,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "check passed: trie speedup >= {GATE_SPEEDUP}x on every long-prologue \
+            "check passed: prologue speedup >= {GATE_SPEEDUP}x on every long-prologue \
              workload; <= {GATE_ALLOCS_PER_TRIAL} allocs/trial on alloc-gated workloads"
         );
     }

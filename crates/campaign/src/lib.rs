@@ -181,14 +181,13 @@ pub struct CampaignOptions {
     /// quarantined with [`QuarantineReason::CrashLoop`] before any trial
     /// runs. `None` disables the check.
     pub crash_ledger_path: Option<PathBuf>,
-    /// Snapshot acceleration for the Phase-2 trials (default: the prefix
-    /// trie, racefuzzer's default). Campaigns create one shared
+    /// Snapshot acceleration for the Phase-2 trials (default: prologue
+    /// forking, racefuzzer's default). Campaigns create one shared
     /// [`EntryCache`] per job and one [`PairCache`] per pair, so the
-    /// entry prologue is interpreted once per job and retried trials
-    /// fast-forward through their already-executed prefix. The retry
-    /// backoff loop is safe to mix with caching: snapshots are taken at
-    /// scheduler loop-tops, where the *current* config's step budget
-    /// governs all later steps.
+    /// entry prologue is interpreted once per job and every trial, retries
+    /// included, forks from it. The retry backoff loop is safe to mix with
+    /// caching: the prologue ends at a scheduler loop-top, where the
+    /// *current* config's step budget governs all later steps.
     pub snapshots: SnapshotOptions,
     /// How long the parallel commit thread waits for an in-flight pair
     /// before checking whether the worker that claimed it has died. This is
@@ -1307,11 +1306,11 @@ fn run_pair(
     options: &CampaignOptions,
     entry_cache: Option<&Arc<EntryCache>>,
 ) -> PairRun {
-    // One decision trie per pair, sharing the job-wide entry prologue.
-    // Retries with grown step budgets share it too — snapshots live at
-    // scheduler loop-tops, where the budget check always consults the
-    // *current* config, so a trial resumed under a larger budget behaves
-    // exactly as if it had re-executed its prefix.
+    // One cache (statistics) per pair, sharing the job-wide entry
+    // prologue. Retries with grown step budgets share it too — the
+    // prologue ends at a scheduler loop-top, where the budget check always
+    // consults the *current* config, so a trial resumed under a larger
+    // budget behaves exactly as if it had re-executed its prefix.
     let cache = entry_cache.map(|shared| PairCache::new(Arc::clone(shared)));
     let mut run = PairRun {
         report: PairReport::empty(target),

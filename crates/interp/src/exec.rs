@@ -159,28 +159,6 @@ impl Snapshot {
     pub fn steps(&self) -> u64 {
         self.steps
     }
-
-    /// Deterministic approximation of the snapshot's logical footprint in
-    /// bytes, ignoring structural sharing — the quantity snapshot-memory
-    /// budgets meter. It depends only on program state, never on addresses
-    /// or sharing, so eviction decisions driven by it replay exactly.
-    pub fn approx_bytes(&self) -> u64 {
-        let value = std::mem::size_of::<Value>() as u64;
-        let mut bytes = 256 + self.heap.approx_bytes() + self.globals.len() as u64 * value;
-        for thread in &self.threads {
-            bytes += 128;
-            for frame in &thread.frames {
-                bytes += 64 + frame.locals.len() as u64 * value;
-            }
-        }
-        bytes += self
-            .output
-            .iter()
-            .map(|line| line.len() as u64 + 24)
-            .sum::<u64>();
-        bytes += (self.termination_msg.len() + self.uncaught.len()) as u64 * 32;
-        bytes
-    }
 }
 
 impl fmt::Debug for Snapshot {
@@ -1924,7 +1902,6 @@ mod tests {
         }
         let snapshot = forked.snapshot();
         assert_eq!(snapshot.steps(), 17);
-        assert!(snapshot.approx_bytes() > 0);
 
         // Keep running the original past the fork point; the snapshot must
         // not be disturbed (copy-on-write isolation).

@@ -147,14 +147,6 @@ impl Heap {
         self.len = 0;
         self.slots = 0;
     }
-
-    /// Deterministic approximation of the logical footprint in bytes,
-    /// ignoring structural sharing (a budget metric, not a profiler).
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        let cell = std::mem::size_of::<HeapCell>() as u64;
-        let value = std::mem::size_of::<Value>() as u64;
-        self.len as u64 * cell + self.slots * value
-    }
 }
 
 #[cfg(test)]

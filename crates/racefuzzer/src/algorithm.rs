@@ -18,11 +18,11 @@
 //!   breaks livelocks where a non-postponed thread spins on a flag that a
 //!   postponed thread would set.
 //!
-//! The loop optionally cooperates with the snapshot layer
-//! ([`crate::snapshot`]): trials fork from cached copy-on-write prefixes
-//! and report every non-forced random choice to a per-pair decision trie.
-//! With no cache attached the control flow — and, critically, the RNG draw
-//! sequence — is exactly the paper's algorithm.
+//! The loop optionally forks from the snapshot layer's entry prologue
+//! ([`crate::snapshot`]): a copy-on-write snapshot of the single-threaded
+//! prefix every trial shares, with the RNG jumped past the prologue's
+//! forced draws. From there the control flow — and, critically, the RNG
+//! draw sequence — is exactly the paper's algorithm.
 //!
 //! The monitor's windows are where Phase 2 spends its time: a peer of the
 //! postponed thread spins for up to `postpone_limit` decisions, usually
@@ -30,15 +30,15 @@
 //! spinning thread's cycle of decisions ([`crate::spin`]) and then replays
 //! whole decisions from those tables at the top of the loop — the same
 //! candidate sets, the same `Rng::below` draws, the same step and decision
-//! counts — without interpreting them. It stops before any loop-top or
-//! decision the tables cannot answer for (the monitor's expiry, the step
-//! budget, a deadline poll, a snapshot capture, a decision that would
-//! leave no candidate or wake a thread without a table) and writes the
-//! reached state back into the execution there (DESIGN.md §5.2).
+//! counts — without interpreting them. It stops before any decision the
+//! tables cannot answer for (the monitor's expiry, the step budget, a
+//! deadline poll, a decision that would leave no candidate or wake a
+//! thread without a table) and writes the reached state back into the
+//! execution there (DESIGN.md §5.2).
 
 use crate::config::FuzzConfig;
 use crate::outcome::{FuzzOutcome, RealRaceEvent};
-use crate::snapshot::{PairCache, SnapshotMode, TrialSession};
+use crate::snapshot::{PairCache, SnapshotMode};
 use crate::spin::Spin;
 use cil::flat::InstrId;
 use detector::RacePair;
@@ -191,8 +191,7 @@ pub(crate) fn fuzz_once_session<'p>(
             && !config.record_schedule
             && config.wall_clock.is_none()
     });
-    let mut session = cache.map(|cache| cache.begin_trial(program, entry, config));
-    let resume = session.as_ref().and_then(TrialSession::resume_point);
+    let resume = cache.and_then(|cache| cache.begin_trial(program, entry, config));
 
     let mut local = TrialScratch::new();
     let scratch = scratch.unwrap_or(&mut local);
@@ -203,13 +202,13 @@ pub(crate) fn fuzz_once_session<'p>(
         spin,
     } = scratch;
     match exec_slot {
-        Some(exec) => match &resume {
-            Some(snap) => exec.restore(&snap.exec),
+        Some(exec) => match resume {
+            Some(prologue) => exec.restore(&prologue.snapshot),
             None => exec.reset(entry)?,
         },
         None => {
-            *exec_slot = Some(match &resume {
-                Some(snap) => Execution::resume(program, &snap.exec),
+            *exec_slot = Some(match resume {
+                Some(prologue) => Execution::resume(program, &prologue.snapshot),
                 None => Execution::new(program, entry)?,
             });
         }
@@ -230,7 +229,6 @@ pub(crate) fn fuzz_once_session<'p>(
     let stop_mask = exec.stop_mask(&race_list);
 
     let mut rng = Rng::seeded(config.seed);
-    let mut draws: u64 = 0;
     // The postponed set, with the scheduler-decision index at which each
     // thread was postponed (for the livelock monitor). Threads are only
     // ever appended, so it is ordered by that index: its head is the next
@@ -238,12 +236,10 @@ pub(crate) fn fuzz_once_session<'p>(
     let mut postponed: Vec<(ThreadId, u64)> = Vec::new();
     let mut races: Vec<RealRaceEvent> = Vec::new();
     let mut decisions: u64 = 0;
-    if let Some(snap) = &resume {
-        rng.discard(snap.draws);
-        draws = snap.draws;
-        postponed.extend_from_slice(&snap.postponed);
-        races.extend_from_slice(&snap.races);
-        decisions = snap.decisions;
+    if let Some(prologue) = resume {
+        // Each prologue decision made one forced draw.
+        rng.discard(prologue.forced);
+        decisions = prologue.forced;
     }
     let mut schedule: Option<Vec<ThreadId>> = config.record_schedule.then(Vec::new);
     let started = config.wall_clock.map(|_| std::time::Instant::now());
@@ -251,8 +247,8 @@ pub(crate) fn fuzz_once_session<'p>(
 
     let termination = loop {
         // §4 spin windows: replay whole decisions from the threads' cycle
-        // tables (DESIGN.md §5.2), stopping before any loop-top or
-        // decision the tables cannot answer for, then materialise.
+        // tables (DESIGN.md §5.2), stopping before any decision the
+        // tables cannot answer for, then materialise.
         if spin.at_loop_top(exec, &postponed, decisions) {
             loop {
                 let decision = decisions + 1;
@@ -269,14 +265,10 @@ pub(crate) fn fuzz_once_session<'p>(
                 let Some(steps) = spin.plan(pick) else {
                     break;
                 };
-                if spin.steps() + steps > config.max_steps
-                    || !session
-                        .as_mut()
-                        .is_none_or(|session| session.replay_loop_top(spin.steps()))
-                {
+                if spin.steps() + steps > config.max_steps {
                     break;
                 }
-                let index = draw_pick(&mut rng, &mut draws, bound, &mut session, cache);
+                let index = rng.below(bound);
                 debug_assert_eq!(spin.candidate(index), pick);
                 decisions = decision;
                 let thread = spin.commit(pick);
@@ -286,9 +278,6 @@ pub(crate) fn fuzz_once_session<'p>(
             }
             spin.materialise(exec);
             ready.stale = true;
-        }
-        if let Some(session) = session.as_mut() {
-            session.at_loop_top(exec, &postponed, &races, decisions, draws);
         }
         if let Some(error) = exec.engine_error() {
             break Termination::EngineError(error.clone());
@@ -376,7 +365,7 @@ pub(crate) fn fuzz_once_session<'p>(
             // Algorithm 1 lines 26–28 (also reachable when a non-postponed
             // thread blocked): release a random postponed thread and run
             // its pending statement.
-            let index = draw_pick(&mut rng, &mut draws, postponed.len(), &mut session, cache);
+            let index = rng.below(postponed.len());
             let (freed, _) = postponed.remove(index);
             ready.reshape = true;
             if exec.is_enabled(freed) {
@@ -385,13 +374,7 @@ pub(crate) fn fuzz_once_session<'p>(
             continue;
         }
 
-        let index = draw_pick(
-            &mut rng,
-            &mut draws,
-            ready.candidates.len(),
-            &mut session,
-            cache,
-        );
+        let index = rng.below(ready.candidates.len());
         let chosen = ready.candidates[index];
         let next = exec.next_instr(chosen);
         let targeted = next.is_some_and(&in_race_set);
@@ -452,7 +435,7 @@ pub(crate) fn fuzz_once_session<'p>(
                         partners: vec![partner],
                     });
                 }
-                if draw_coin(&mut rng, &mut draws, &mut session, cache) {
+                if rng.coin() {
                     // Run the arriving thread; keep the others postponed.
                     step(exec, ready, chosen, &mut schedule, &mut observer);
                 } else {
@@ -478,7 +461,7 @@ pub(crate) fn fuzz_once_session<'p>(
         ready.sync(exec);
         ready.shape(&postponed);
         if !ready.enabled.is_empty() && ready.candidates.is_empty() {
-            let index = draw_pick(&mut rng, &mut draws, postponed.len(), &mut session, cache);
+            let index = rng.below(postponed.len());
             let (freed, _) = postponed.remove(index);
             ready.reshape = true;
             if exec.is_enabled(freed) {
@@ -496,44 +479,6 @@ pub(crate) fn fuzz_once_session<'p>(
         output: exec.output().to_vec(),
         schedule,
     })
-}
-
-/// Draws `rng.below(bound)` while keeping the trial's draw counter and the
-/// decision trie informed. A draw with `bound == 1` is *forced* — it always
-/// yields 0 — so only `bound >= 2` draws become trie nodes; forced draws
-/// still consume an RNG word, exactly as on the uncached path.
-fn draw_pick(
-    rng: &mut Rng,
-    draws: &mut u64,
-    bound: usize,
-    session: &mut Option<TrialSession>,
-    cache: Option<&PairCache>,
-) -> usize {
-    let before = *draws;
-    *draws += 1;
-    let outcome = rng.below(bound);
-    if bound >= 2 {
-        if let (Some(session), Some(cache)) = (session.as_mut(), cache) {
-            session.on_pick(cache, bound, outcome, before);
-        }
-    }
-    outcome
-}
-
-/// Draws the race-resolution coin, mirroring [`draw_pick`]'s bookkeeping.
-fn draw_coin(
-    rng: &mut Rng,
-    draws: &mut u64,
-    session: &mut Option<TrialSession>,
-    cache: Option<&PairCache>,
-) -> bool {
-    let before = *draws;
-    *draws += 1;
-    let outcome = rng.coin();
-    if let (Some(session), Some(cache)) = (session.as_mut(), cache) {
-        session.on_coin(cache, outcome, before);
-    }
-    outcome
 }
 
 fn step(

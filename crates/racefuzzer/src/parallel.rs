@@ -120,11 +120,11 @@ pub fn fuzz_pairs_parallel(
 }
 
 /// [`fuzz_pairs_parallel`] with optional per-pair snapshot caches
-/// (parallel to `targets`). Every worker shares a pair's cache read-side —
-/// the decision trie is the one deliberately shared piece of state in the
-/// pool — while scratch interpreter state stays worker-local. Reports are
-/// still byte-identical to the sequential, cache-less fold; the caches
-/// only add the advisory [`PairReport::snapshots`] statistics.
+/// (parallel to `targets`). Every worker forks from the pair's shared
+/// entry prologue and bumps its atomic statistics, while scratch
+/// interpreter state stays worker-local. Reports are still byte-identical
+/// to the sequential, cache-less fold; the caches only add the advisory
+/// [`PairReport::snapshots`] statistics.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fuzz_pairs_parallel_cached(
     program: &cil::Program,

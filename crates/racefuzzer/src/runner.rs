@@ -107,10 +107,10 @@ pub struct AnalyzeOptions {
     /// sequential path; more workers fan (pair, seed-range) chunks out over
     /// a work-stealing pool with byte-identical reports.
     pub parallel: ParallelOptions,
-    /// Snapshot acceleration ([`SnapshotMode::PrefixTrie`] by default):
-    /// trials fork from copy-on-write snapshots of shared execution
-    /// prefixes instead of replaying from instruction zero. Reports are
-    /// byte-identical in every mode; only wall-clock changes.
+    /// Snapshot acceleration ([`SnapshotMode::PrologueOnly`] by default):
+    /// trials fork from a copy-on-write snapshot of the single-threaded
+    /// entry prologue instead of replaying from instruction zero. Reports
+    /// are byte-identical in every mode; only wall-clock changes.
     pub snapshots: SnapshotOptions,
 }
 
@@ -150,8 +150,7 @@ impl AnalyzeOptions {
         self
     }
 
-    /// Builder-style: select the snapshot-acceleration mode, keeping the
-    /// default depth and memory budget.
+    /// Builder-style: select the snapshot-acceleration mode.
     pub fn snapshot_mode(mut self, mode: SnapshotMode) -> Self {
         self.snapshots.mode = mode;
         self
@@ -275,9 +274,8 @@ pub struct PairReport {
     pub first_exception_seed: Option<u64>,
     /// Snapshot-cache statistics for this pair, when acceleration ran.
     ///
-    /// **Advisory**: hit patterns legitimately vary with worker count and
-    /// steal order while the semantic fields above do not, so this field
-    /// is excluded from the report's `Debug` output (which the
+    /// **Advisory**: it says how the trials ran, not what they found, so
+    /// this field is excluded from the report's `Debug` output (which the
     /// determinism suites compare) and from campaign checkpoints.
     pub snapshots: Option<SnapshotStats>,
 }
@@ -555,7 +553,7 @@ fn plan(program: &cil::Program, entry: &str, options: &AnalyzeOptions) -> Result
         .map(|target| filter.as_ref().and_then(|f| f.refute(program, target)))
         .collect();
     // One `EntryCache` (shared prologue) spans every pair of the run; each
-    // pair gets its own decision trie.
+    // pair gets its own `PairCache` for its statistics.
     let entry_cache = (options.snapshots.mode != SnapshotMode::Off).then(|| {
         EntryCache::with_prologue(
             options.snapshots,

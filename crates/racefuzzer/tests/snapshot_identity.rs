@@ -3,12 +3,11 @@
 //! The copy-on-write forking layer (`racefuzzer::snapshot`) promises that
 //! an [`racefuzzer::AnalysisReport`] is a pure function of
 //! `(program, entry, options)` minus the snapshot settings: prologue
-//! forking, prefix-trie fast-forwarding, and snapshot eviction may only
-//! change how much of each trial is *re-executed*, never a single reported
-//! number. These tests pin that promise over every Table-1 workload, all
-//! three modes, sequential and parallel pools, adversarial seed sweeps,
-//! a 1-snapshot memory budget, and prologues long enough that every resume
-//! jumps the RNG instead of stepping it. The `prologue_handoff_` cases pin
+//! forking may only change how much of each trial is *re-executed*, never
+//! a single reported number. These tests pin that promise over every
+//! Table-1 workload, both modes, sequential and parallel pools, adversarial
+//! seed sweeps, and prologues long enough that every resume jumps the RNG
+//! instead of stepping it. The `prologue_handoff_` cases pin
 //! that `analyze`, which forks Phase 2 from the prologue Phase 1 captured,
 //! matches the lazy path that computes the prologue on its first trial.
 
@@ -19,7 +18,6 @@ use racefuzzer::{
     AnalyzeOptions, CandidateSource, FuzzConfig, PairReport, SnapshotMode, SnapshotOptions,
     SnapshotStats,
 };
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,7 +49,8 @@ fn modes_and_worker_counts_are_byte_identical() {
         &[1, 2, 4, 7]
     };
     let mut failures = Vec::new();
-    let mut trie_hits = 0u64;
+    let mut stats_failures = Vec::new();
+    let mut prologue_hits = 0u64;
     for workload in workloads::all() {
         let baseline = analyze(
             &workload.program,
@@ -61,26 +60,29 @@ fn modes_and_worker_counts_are_byte_identical() {
         .expect("baseline analysis succeeds");
         let expected = render(&baseline);
         for mode in SnapshotMode::ALL {
+            // Per-pair `SnapshotStats` depend only on the prologue, so they
+            // must not move with the worker count either.
+            let mut first_stats: Option<Vec<Option<SnapshotStats>>> = None;
             for &workers in worker_counts {
-                if mode == SnapshotMode::Off && workers == 1 {
-                    continue; // the baseline itself
-                }
-                let report = analyze(&workload.program, workload.entry, &options(mode, workers))
-                    .expect("accelerated analysis succeeds");
+                let report = if mode == SnapshotMode::Off && workers == 1 {
+                    baseline.clone()
+                } else {
+                    analyze(&workload.program, workload.entry, &options(mode, workers))
+                        .expect("accelerated analysis succeeds")
+                };
+                let label = format!("{} mode={} workers={workers}", workload.name, mode.name());
                 if render(&report) != expected {
-                    failures.push(format!(
-                        "{} mode={} workers={workers}",
-                        workload.name,
-                        mode.name()
-                    ));
+                    failures.push(label.clone());
                 }
-                if mode == SnapshotMode::PrefixTrie {
-                    trie_hits += report
-                        .pairs
-                        .iter()
-                        .filter_map(|pair| pair.snapshots)
-                        .map(|stats| stats.cache_hits)
-                        .sum::<u64>();
+                let stats: Vec<Option<SnapshotStats>> =
+                    report.pairs.iter().map(|pair| pair.snapshots).collect();
+                if mode == SnapshotMode::PrologueOnly {
+                    prologue_hits += stats.iter().flatten().map(|s| s.cache_hits).sum::<u64>();
+                }
+                match &first_stats {
+                    None => first_stats = Some(stats),
+                    Some(first) if *first != stats => stats_failures.push(label),
+                    Some(_) => {}
                 }
             }
         }
@@ -89,9 +91,13 @@ fn modes_and_worker_counts_are_byte_identical() {
         failures.is_empty(),
         "snapshot modes diverged from the uncached baseline: {failures:?}"
     );
+    assert!(
+        stats_failures.is_empty(),
+        "snapshot statistics moved with the worker count: {stats_failures:?}"
+    );
     // Guard against the acceleration silently disabling itself: across the
-    // whole Table-1 sweep the trie must have actually resumed trials.
-    assert!(trie_hits > 0, "prefix trie never produced a cache hit");
+    // whole Table-1 sweep the prologue must have actually resumed trials.
+    assert!(prologue_hits > 0, "the prologue never produced a cache hit");
 }
 
 /// The Figure-1-style program used for targeted per-seed sweeps: a long
@@ -126,79 +132,30 @@ fn first_pair(program: &cil::Program) -> detector::RacePair {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any seed, replayed through a progressively warmer trie, matches the
-    /// uncached execution outcome for outcome — including a second pass
-    /// over the same seeds, which resumes from the deepest cached node.
+    /// Any seed, forked from the prologue, matches the uncached execution
+    /// outcome for outcome, and every trial resumes.
     #[test]
-    fn cached_trials_match_uncached_for_arbitrary_seeds(
-        base_seed in any::<u32>(),
-        budget_kib in 1u64..512,
-    ) {
+    fn cached_trials_match_uncached_for_arbitrary_seeds(base_seed in any::<u32>()) {
         let program = racy_program();
         let target = first_pair(&program);
-        let entry_cache = EntryCache::new(SnapshotOptions {
-            mode: SnapshotMode::PrefixTrie,
-            budget_bytes: budget_kib << 10,
-            ..SnapshotOptions::default()
-        });
-        let cache = PairCache::new(entry_cache);
-        for pass in 0..2 {
-            for offset in 0..8u64 {
-                let config = FuzzConfig::seeded(u64::from(base_seed) + offset);
-                let plain = fuzz_pair_once(&program, "main", target, &config)
-                    .expect("uncached trial succeeds");
-                let cached = fuzz_pair_once_cached(&program, "main", target, &config, Some(&cache))
-                    .expect("cached trial succeeds");
-                prop_assert_eq!(
-                    format!("{plain:#?}"),
-                    format!("{cached:#?}"),
-                    "pass {} seed {}",
-                    pass,
-                    config.seed
-                );
-            }
+        let cache = PairCache::new(EntryCache::new(SnapshotOptions::default()));
+        for offset in 0..16u64 {
+            let config = FuzzConfig::seeded(u64::from(base_seed) + offset);
+            let plain = fuzz_pair_once(&program, "main", target, &config)
+                .expect("uncached trial succeeds");
+            let cached = fuzz_pair_once_cached(&program, "main", target, &config, Some(&cache))
+                .expect("cached trial succeeds");
+            prop_assert_eq!(
+                format!("{plain:#?}"),
+                format!("{cached:#?}"),
+                "seed {}",
+                config.seed
+            );
         }
         let stats = cache.stats();
         prop_assert!(stats.trials == 16);
-        prop_assert!(stats.cache_hits > 0, "no trial resumed from a snapshot");
+        prop_assert!(stats.cache_hits == 16, "a trial did not resume from the prologue");
     }
-}
-
-#[test]
-fn one_snapshot_budget_still_matches_and_evicts() {
-    let program = racy_program();
-    let target = first_pair(&program);
-    // A 1-byte budget caps the trie at a single resident snapshot: each
-    // installation immediately evicts the previous one (the newest
-    // snapshot is spared by its own installation). `min_capture_gain: 0`
-    // forces capture at every eligible loop-top so eviction pressure is
-    // actually exercised on this small fixture.
-    let entry_cache = EntryCache::new(SnapshotOptions {
-        mode: SnapshotMode::PrefixTrie,
-        budget_bytes: 1,
-        min_capture_gain: 0,
-        ..SnapshotOptions::default()
-    });
-    let cache = PairCache::new(entry_cache);
-    for seed in 0..64u64 {
-        let config = FuzzConfig::seeded(seed);
-        let plain =
-            fuzz_pair_once(&program, "main", target, &config).expect("uncached trial succeeds");
-        let cached = fuzz_pair_once_cached(&program, "main", target, &config, Some(&cache))
-            .expect("cached trial succeeds");
-        assert_eq!(
-            format!("{plain:#?}"),
-            format!("{cached:#?}"),
-            "seed {seed} diverged under eviction pressure"
-        );
-        assert!(
-            cache.resident_snapshots() <= 1,
-            "budget of 1 byte must cap residency at one snapshot"
-        );
-    }
-    let stats = cache.stats();
-    assert!(stats.captures > 1, "trie never captured under pressure");
-    assert!(stats.evictions > 0, "budget pressure never evicted");
 }
 
 /// Schedule recording and wall-clock budgets disable acceleration rather
@@ -227,10 +184,8 @@ fn recording_config_bypasses_the_cache_safely() {
 
 /// A `main` whose local warm-up runs 50,000 iterations, with or without an
 /// allocation in each, before two workers race on `hits` and `last`. A
-/// resume from its prologue, and a trie walk past it, discards hundreds of
-/// thousands of RNG draws — far above the count where `Rng::discard` stops
-/// stepping and jumps. The workers' local loops after their racy writes
-/// give the trie loop-tops worth a snapshot.
+/// resume from its prologue discards hundreds of thousands of RNG draws —
+/// far above the count where `Rng::discard` stops stepping and jumps.
 fn long_warmup_program(allocating: bool) -> cil::Program {
     let alloc = if allocating { "pad = new Pad;" } else { "" };
     cil::compile(&format!(
@@ -273,87 +228,53 @@ fn long_warmup_program(allocating: bool) -> cil::Program {
 /// Seeds per long-warm-up pair.
 const LONG_WARMUP_SEEDS: [u64; 4] = [5, 6, 7, 8];
 
-/// Per long-warm-up program (local, then allocating): the `SnapshotStats`
-/// of each predicted pair after two passes of the [`LONG_WARMUP_SEEDS`]
-/// trials under `PrefixTrie`, as `[trials, cache_hits,
-/// fast_forwarded_steps, captures, evictions]`. Recorded by this test
-/// while `Rng::discard` still stepped one draw at a time.
-#[rustfmt::skip]
-const EXPECTED_LONG_WARMUP_TRIE_STATS: &[(&str, &[[u64; 5]])] = &[
-    ("local warm-up", &[[8, 8, 1604285, 14, 0], [8, 8, 1602367, 9, 0], [8, 8, 1600032, 0, 0]]),
-    ("allocating warm-up", &[[8, 8, 2400032, 30, 22], [8, 8, 2402654, 9, 1], [8, 8, 2400032, 0, 0]]),
-];
-
-/// Every mode's trials on the long warm-ups match the uncached trial, in a
-/// first pass and in a second pass that resumes each seed from the
-/// deepest snapshot on its own path, and the trie's statistics are the
-/// ones it had while the generator was stepped past the warm-up.
+/// Both modes' trials on the long warm-ups match the uncached trial, and
+/// every prologue-mode trial resumes past the whole warm-up.
 #[test]
 fn long_warmup_resumes_match_across_modes() {
-    let mut table = String::new();
-    let mut observed: Vec<(&str, Vec<[u64; 5]>)> = Vec::new();
     for (name, allocating) in [("local warm-up", false), ("allocating warm-up", true)] {
         let program = long_warmup_program(allocating);
         let entries =
             SnapshotMode::ALL.map(|mode| EntryCache::new(SnapshotOptions::with_mode(mode)));
-        let mut stats: Vec<[u64; 5]> = Vec::new();
         let potential =
             detector::predict_races(&program, "main", &detector::PredictConfig::default())
                 .expect("prediction succeeds");
         assert!(!potential.is_empty(), "{name}: no predicted pair");
         for pair in potential {
-            let [off, prologue, trie] = entries.clone().map(PairCache::new);
-            let plain: Vec<String> = LONG_WARMUP_SEEDS
-                .iter()
-                .map(|&seed| {
-                    let outcome = fuzz_pair_once(&program, "main", pair, &FuzzConfig::seeded(seed))
-                        .expect("uncached trial succeeds");
-                    format!("{outcome:#?}")
-                })
-                .collect();
-            let passes = [vec![&off, &prologue, &trie], vec![&trie]];
-            for (pass, caches) in passes.iter().enumerate() {
-                for (&seed, plain) in LONG_WARMUP_SEEDS.iter().zip(&plain) {
-                    let config = FuzzConfig::seeded(seed);
-                    for cache in caches {
-                        let cached =
-                            fuzz_pair_once_cached(&program, "main", pair, &config, Some(cache))
-                                .expect("cached trial succeeds");
-                        assert_eq!(
-                            &format!("{cached:#?}"),
-                            plain,
-                            "{name}: {pair:?} seed {seed} (pass {pass}) under {}",
-                            cache.options().mode.name()
-                        );
-                    }
+            let caches = entries.clone().map(PairCache::new);
+            for seed in LONG_WARMUP_SEEDS {
+                let config = FuzzConfig::seeded(seed);
+                let plain = fuzz_pair_once(&program, "main", pair, &config)
+                    .expect("uncached trial succeeds");
+                for cache in &caches {
+                    let cached =
+                        fuzz_pair_once_cached(&program, "main", pair, &config, Some(cache))
+                            .expect("cached trial succeeds");
+                    assert_eq!(
+                        format!("{cached:#?}"),
+                        format!("{plain:#?}"),
+                        "{name}: {pair:?} seed {seed} under {}",
+                        cache.options().mode.name()
+                    );
                 }
             }
-            let SnapshotStats {
-                trials,
-                cache_hits,
-                fast_forwarded_steps,
-                captures,
-                evictions,
-            } = trie.stats();
-            stats.push([
-                trials,
-                cache_hits,
-                fast_forwarded_steps,
-                captures,
-                evictions,
-            ]);
+            let [off, prologue] = caches.map(|cache| cache.stats());
+            assert_eq!(
+                off,
+                SnapshotStats::default(),
+                "{name}: Off consulted the cache"
+            );
+            assert_eq!(
+                prologue.cache_hits,
+                LONG_WARMUP_SEEDS.len() as u64,
+                "{name}"
+            );
+            assert!(
+                prologue.fast_forwarded_steps > 50_000 * prologue.cache_hits,
+                "{name}: the prologue stopped inside the warm-up"
+            );
         }
-        let _ = writeln!(table, "    ({name:?}, &{stats:?}),");
-        observed.push((name, stats));
     }
-    let expected: Vec<(&str, Vec<[u64; 5]>)> = EXPECTED_LONG_WARMUP_TRIE_STATS
-        .iter()
-        .map(|&(name, stats)| (name, stats.to_vec()))
-        .collect();
-    assert!(
-        observed == expected,
-        "long-warm-up trie statistics differ from the recorded ones; observed:\n{table}"
-    );
 }
 
 /// `analyze` rebuilt from the public per-layer calls, with the prologue
@@ -411,15 +332,15 @@ fn assert_handoff_matches(name: &str, program: &cil::Program, options: &AnalyzeO
     );
 }
 
-fn handoff_options(mode: SnapshotMode) -> AnalyzeOptions {
-    AnalyzeOptions::with_trials(4).snapshot_mode(mode)
+fn handoff_options() -> AnalyzeOptions {
+    AnalyzeOptions::with_trials(4)
 }
 
 #[test]
 fn prologue_handoff_matches_lazy_path_on_workloads_and_long_warmups() {
     for workload in workloads::all() {
         assert_eq!(workload.entry, "main", "{}: entry", workload.name);
-        let options = handoff_options(SnapshotMode::PrefixTrie);
+        let options = handoff_options();
         if analyze(&workload.program, "main", &options)
             .expect("analysis succeeds")
             .pairs
@@ -431,10 +352,8 @@ fn prologue_handoff_matches_lazy_path_on_workloads_and_long_warmups() {
     }
     for allocating in [false, true] {
         let program = long_warmup_program(allocating);
-        for mode in [SnapshotMode::PrologueOnly, SnapshotMode::PrefixTrie] {
-            let name = format!("long warm-up (allocating: {allocating}) {}", mode.name());
-            assert_handoff_matches(&name, &program, &handoff_options(mode));
-        }
+        let name = format!("long warm-up (allocating: {allocating})");
+        assert_handoff_matches(&name, &program, &handoff_options());
     }
 }
 
@@ -480,9 +399,7 @@ fn busy_prologue_program(prefix: &str, rounds: u32) -> cil::Program {
 #[test]
 fn prologue_handoff_matches_lazy_path_on_allocating_locking_catching_prefix() {
     let program = busy_prologue_program("", 200);
-    for mode in [SnapshotMode::PrologueOnly, SnapshotMode::PrefixTrie] {
-        assert_handoff_matches(mode.name(), &program, &handoff_options(mode));
-    }
+    assert_handoff_matches("busy prologue", &program, &handoff_options());
 }
 
 #[test]
@@ -492,7 +409,7 @@ fn prologue_handoff_matches_lazy_path_without_a_prologue() {
         ("global first", "out = 1;"),
     ] {
         let program = busy_prologue_program(prefix, 20);
-        assert_handoff_matches(name, &program, &handoff_options(SnapshotMode::PrefixTrie));
+        assert_handoff_matches(name, &program, &handoff_options());
     }
 }
 
@@ -501,16 +418,16 @@ fn prologue_handoff_matches_lazy_path_with_mismatched_heap_budgets() {
     let program = busy_prologue_program("", 200);
     // Phase 2's budget runs out inside the prologue, Phase 1's never does:
     // the lazy prologue ends at the budget error, the captured one past it.
-    let mut tight_phase2 = handoff_options(SnapshotMode::PrefixTrie);
+    let mut tight_phase2 = handoff_options();
     tight_phase2.fuzz.max_heap_cells = Some(120);
     assert_handoff_matches("tight Phase-2 budget", &program, &tight_phase2);
     // Both budgets hold, but they differ.
-    let mut loose_phase2 = handoff_options(SnapshotMode::PrefixTrie);
+    let mut loose_phase2 = handoff_options();
     loose_phase2.fuzz.max_heap_cells = Some(1 << 20);
     assert_handoff_matches("loose Phase-2 budget", &program, &loose_phase2);
     // Phase 1's budget runs out inside the prologue; static candidates
     // give Phase 2 pairs to fuzz.
-    let mut tight_phase1 = handoff_options(SnapshotMode::PrefixTrie).source(CandidateSource::Union);
+    let mut tight_phase1 = handoff_options().source(CandidateSource::Union);
     tight_phase1.predict.limits.max_heap_cells = Some(120);
     assert_handoff_matches("tight Phase-1 budget", &program, &tight_phase1);
 }
@@ -522,7 +439,7 @@ fn prologue_handoff_matches_lazy_path_with_step_limits_inside_the_prefix() {
     // and the first `spawn`; static candidates give Phase 2 pairs to fuzz.
     let prologue = busy_prologue_steps(&program);
     for max_steps in [prologue / 2, prologue, prologue + 1] {
-        let mut options = handoff_options(SnapshotMode::PrefixTrie).source(CandidateSource::Union);
+        let mut options = handoff_options().source(CandidateSource::Union);
         options.predict.limits.max_steps = max_steps;
         assert_handoff_matches(
             &format!("Phase-1 max_steps {max_steps}"),
@@ -532,7 +449,7 @@ fn prologue_handoff_matches_lazy_path_with_step_limits_inside_the_prefix() {
     }
     // Phase 2 stops inside the prologue, or exactly at its end.
     for max_steps in [prologue / 2, prologue] {
-        let mut options = handoff_options(SnapshotMode::PrefixTrie);
+        let mut options = handoff_options();
         options.fuzz.max_steps = max_steps;
         assert_handoff_matches(
             &format!("Phase-2 max_steps {max_steps}"),
@@ -545,7 +462,7 @@ fn prologue_handoff_matches_lazy_path_with_step_limits_inside_the_prefix() {
 /// Statements in [`busy_prologue_program`]'s prologue, as the snapshot
 /// layer reports them: the fast-forward of one prologue-only trial.
 fn busy_prologue_steps(program: &cil::Program) -> u64 {
-    let options = AnalyzeOptions::with_trials(1).snapshot_mode(SnapshotMode::PrologueOnly);
+    let options = AnalyzeOptions::with_trials(1);
     let report = lazy_analyze(program, &options);
     let stats = report.pairs[0].snapshots.expect("cached pair");
     assert_eq!(stats.cache_hits, 1, "the prologue is not empty");
@@ -558,7 +475,7 @@ fn prologue_handoff_matches_lazy_path_with_a_zero_phase1_deadline() {
         ("short prologue", busy_prologue_program("", 20)),
         ("long prologue", long_warmup_program(false)),
     ] {
-        let mut options = handoff_options(SnapshotMode::PrefixTrie).source(CandidateSource::Union);
+        let mut options = handoff_options().source(CandidateSource::Union);
         options.predict.limits.deadline = Some(Duration::ZERO);
         assert_handoff_matches(name, &program, &options);
     }
@@ -567,7 +484,7 @@ fn prologue_handoff_matches_lazy_path_with_a_zero_phase1_deadline() {
 #[test]
 fn prologue_handoff_matches_lazy_path_under_switch_only_at_sync() {
     let program = busy_prologue_program("", 200);
-    let mut options = handoff_options(SnapshotMode::PrefixTrie);
+    let mut options = handoff_options();
     options.fuzz.switch_only_at_sync = true;
     assert_handoff_matches("switch_only_at_sync", &program, &options);
 }
@@ -575,6 +492,6 @@ fn prologue_handoff_matches_lazy_path_under_switch_only_at_sync() {
 #[test]
 fn prologue_handoff_matches_lazy_path_with_static_candidates() {
     let program = busy_prologue_program("", 200);
-    let options = handoff_options(SnapshotMode::PrefixTrie).source(CandidateSource::Static);
+    let options = handoff_options().source(CandidateSource::Static);
     assert_handoff_matches("static candidates", &program, &options);
 }

@@ -1,8 +1,8 @@
 //! Phase 2 keeps `Enabled(s)` and the candidate set `Enabled(s) \ postponed`
 //! between scheduler decisions, and re-derives them only after a step that
-//! can change some thread's enabledness (DESIGN.md §5.1). Every RNG draw,
-//! every executed statement and every snapshot-cache callback stay where
-//! they were, so no outcome may move.
+//! can change some thread's enabledness (DESIGN.md §5.1). Every RNG draw
+//! and every executed statement stay where they were, so no outcome may
+//! move.
 //!
 //! The oracle is the decision loop Phase 2 ran before, frozen below against
 //! the public `interp` API: it re-derives the enabled set at the top of
@@ -10,24 +10,17 @@
 //! and each candidate on the way. Every case compares the `Debug` form of
 //! the whole `FuzzOutcome` (races, termination, steps, output, uncaught
 //! exceptions, schedule) on the workloads, the `.cil` corpus and generated
-//! programs, under every option that changes the loop's path.
-//!
-//! The snapshot cache cannot be driven from outside its crate, so the
-//! `PrefixTrie` case compares each pair's `SnapshotStats` with the values
-//! the frozen loop's trials produced, recorded in [`EXPECTED_TRIE_STATS`].
+//! programs, under every option that changes the loop's path, with the
+//! snapshot cache off and forking from the entry prologue.
 //!
 //! The loop also replays the §4 monitor's spin windows from per-thread
 //! cycle tables instead of interpreting them (DESIGN.md §5.2). The `spin_`
 //! cases aim at that: lock-polling and barrier spins, spins whose every
 //! iteration has an effect (which must be interpreted), and budgets,
-//! monitor limits, capture ticks and options that stop a replay inside a
-//! window. Their trie statistics, in [`EXPECTED_SPIN_TRIE_STATS`], were
-//! recorded on the loop as it was before spin windows were replayed.
+//! monitor limits and options that stop a replay inside a window.
 //!
 //! The `long_warmup` case resumes every trial past a 50,000-iteration
-//! warm-up, where `Rng::discard` jumps instead of stepping; its trie
-//! statistics, in [`EXPECTED_LONG_WARMUP_TRIE_STATS`], were recorded
-//! while `discard` still stepped.
+//! warm-up, where `Rng::discard` jumps instead of stepping.
 
 mod support;
 
@@ -38,16 +31,15 @@ use racefuzzer_suite::interp::{Execution, NullObserver, Rng, StepResult, Termina
 use racefuzzer_suite::prelude::*;
 use racefuzzer_suite::racefuzzer::{
     fuzz_once, fuzz_pair_once_cached, EntryCache, FuzzOutcome, PairCache, PairReport,
-    RealRaceEvent, SnapshotMode, SnapshotOptions, SnapshotStats,
+    RealRaceEvent, SnapshotMode, SnapshotOptions,
 };
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use support::arb_program;
 
 /// The Phase-2 decision loop as it stood before the candidate set was kept
-/// between decisions, minus the snapshot-cache hooks (which never change
-/// what a trial computes).
+/// between decisions, minus the prologue fork (which never changes what a
+/// trial computes).
 fn frozen_loop(
     program: &cil::Program,
     race_set: &BTreeSet<InstrId>,
@@ -255,44 +247,17 @@ fn predicted(program: &cil::Program) -> Vec<RacePair> {
 /// Trial seeds per pair.
 const SEEDS: [u64; 3] = [1, 2, 3];
 
-/// Per workload, in `workloads::all()` order: the `SnapshotStats` of each
-/// predicted pair after the [`SEEDS`] trials, as
-/// `[trials, cache_hits, fast_forwarded_steps, captures, evictions]`.
-/// Recorded by this test while the frozen loop was still Phase 2's loop:
-/// the cache's hooks are internal to its crate, so the frozen loop cannot
-/// recompute them here.
-#[rustfmt::skip]
-const EXPECTED_TRIE_STATS: &[(&str, &[[u64; 5]])] = &[
-    ("moldyn", &[[3, 3, 3, 5, 0], [3, 3, 3, 0, 0], [3, 3, 3, 5, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0]]),
-    ("raytracer", &[[3, 0, 0, 0, 0], [3, 0, 0, 0, 0]]),
-    ("montecarlo", &[[3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0]]),
-    ("cache4j", &[[3, 3, 3, 6, 0], [3, 3, 3, 6, 0], [3, 3, 3, 4, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0]]),
-    ("sor", &[[3, 3, 3, 6, 0], [3, 3, 3, 5, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 259, 5, 0], [3, 3, 3, 5, 0], [3, 3, 3, 4, 0], [3, 3, 3, 3, 0]]),
-    ("hedc", &[[3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0], [3, 3, 3, 3, 0]]),
-    ("weblech", &[[3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0]]),
-    ("jspider", &[[3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0]]),
-    ("jigsaw", &[[3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0], [3, 3, 3, 0, 0]]),
-    ("Vector 1.1", &[[3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0]]),
-    ("LinkedList", &[[3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0], [3, 3, 9, 0, 0]]),
-    ("ArrayList", &[[3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0], [3, 3, 12, 0, 0]]),
-    ("HashSet", &[[3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0], [3, 3, 524, 1, 0]]),
-    ("TreeSet", &[[3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 4, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0], [3, 3, 15, 3, 0]]),
-];
-
 /// Every predicted pair of every workload, three seeds each, with the
-/// snapshot cache off and with the prefix trie: the same outcomes as the
-/// frozen loop, and under the trie the same cache statistics.
+/// snapshot cache off and forking from the prologue: the same outcomes as
+/// the frozen loop.
 #[test]
 fn workload_pairs_match_the_frozen_loop() {
-    let mut table = String::new();
-    let mut mismatched = Vec::new();
-    for (index, workload) in workloads::all().into_iter().enumerate() {
+    for workload in workloads::all() {
         let program = &workload.program;
-        let entry = EntryCache::new(SnapshotOptions::with_mode(SnapshotMode::PrefixTrie));
-        let mut stats: Vec<[u64; 5]> = Vec::new();
+        let entry = EntryCache::new(SnapshotOptions::with_mode(SnapshotMode::PrologueOnly));
         for pair in predicted(program) {
             let race_set = pair_set(pair);
-            let trie = PairCache::new(entry.clone());
+            let prologue = PairCache::new(entry.clone());
             let off = PairCache::new(EntryCache::new(SnapshotOptions::off()));
             let mut report = PairReport::empty(pair);
             for seed in SEEDS {
@@ -300,7 +265,7 @@ fn workload_pairs_match_the_frozen_loop() {
                 let outcome = frozen_loop(program, &race_set, &config);
                 report.absorb(seed, &outcome, program);
                 let expected = format!("{outcome:?}");
-                for cache in [&off, &trie] {
+                for cache in [&off, &prologue] {
                     let actual = fuzz_pair_once_cached(program, "main", pair, &config, Some(cache))
                         .expect("entry resolves");
                     assert_eq!(
@@ -328,30 +293,8 @@ fn workload_pairs_match_the_frozen_loop() {
                 "{}: {pair:?} diverges from the frozen loop on a reused trial scratch",
                 workload.name
             );
-            let SnapshotStats {
-                trials,
-                cache_hits,
-                fast_forwarded_steps,
-                captures,
-                evictions,
-            } = trie.stats();
-            stats.push([
-                trials,
-                cache_hits,
-                fast_forwarded_steps,
-                captures,
-                evictions,
-            ]);
-        }
-        let _ = writeln!(table, "    ({:?}, &{stats:?}),", workload.name);
-        if EXPECTED_TRIE_STATS.get(index) != Some(&(workload.name, stats.as_slice())) {
-            mismatched.push(workload.name);
         }
     }
-    assert!(
-        mismatched.is_empty(),
-        "prefix-trie statistics differ from the frozen loop's on {mismatched:?}; observed:\n{table}"
-    );
 }
 
 /// Runs every predicted pair of every workload under `config` (with the
@@ -825,10 +768,10 @@ fn spin_window_options_match_the_frozen_loop() {
     }
 }
 
-/// The option sets the trie cases run under: the defaults, livelock
-/// monitors that end a window before, while and after its tables are
-/// found, and a step budget that falls inside a window.
-fn spin_trie_configs() -> Vec<(String, FuzzConfig)> {
+/// The option sets the prologue-cache spin case runs under: the defaults,
+/// livelock monitors that end a window before, while and after its tables
+/// are found, and a step budget that falls inside a window.
+fn spin_cache_configs() -> Vec<(String, FuzzConfig)> {
     let mut configs = vec![("defaults".to_owned(), FuzzConfig::default())];
     for postpone_limit in [1, 3, 50, 300] {
         let config = FuzzConfig {
@@ -845,193 +788,34 @@ fn spin_trie_configs() -> Vec<(String, FuzzConfig)> {
     configs
 }
 
-/// Per spin program (in `spin_programs` order), per option set (in
-/// `spin_trie_configs` order) and per capture policy (`min_capture_gain`
-/// 0, then the default): the `SnapshotStats` of each predicted pair after
-/// the [`SPIN_SEEDS`] trials under `PrefixTrie`, as `[trials, cache_hits,
-/// fast_forwarded_steps, captures, evictions]`. Recorded on the loop as it
-/// was before spin windows were replayed.
-#[rustfmt::skip]
-const EXPECTED_SPIN_TRIE_STATS: &[(&str, &str, u64, &[[u64; 5]])] = &[
-    ("spin_poll.cil", "defaults", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 50, 0]]),
-    ("spin_poll.cil", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_poll.cil", "postpone_limit 1", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 48, 0]]),
-    ("spin_poll.cil", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_poll.cil", "postpone_limit 3", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 49, 0]]),
-    ("spin_poll.cil", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_poll.cil", "postpone_limit 50", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 50, 0]]),
-    ("spin_poll.cil", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_poll.cil", "postpone_limit 300", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 50, 0]]),
-    ("spin_poll.cil", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_poll.cil", "max_steps 12345", 0, &[[4, 4, 15, 50, 0], [4, 4, 15, 50, 0]]),
-    ("spin_poll.cil", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_barrier.cil", "defaults", 0, &[[4, 4, 29, 44, 0], [4, 4, 29, 43, 0], [4, 4, 30, 44, 0]]),
-    ("spin_barrier.cil", "defaults", 256, &[[4, 4, 4, 1, 0], [4, 4, 4, 0, 0], [4, 4, 4, 8, 0]]),
-    ("spin_barrier.cil", "postpone_limit 1", 0, &[[4, 4, 29, 47, 0], [4, 4, 29, 46, 0], [4, 4, 27, 47, 0]]),
-    ("spin_barrier.cil", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_barrier.cil", "postpone_limit 3", 0, &[[4, 4, 29, 45, 0], [4, 4, 29, 45, 0], [4, 4, 32, 45, 0]]),
-    ("spin_barrier.cil", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_barrier.cil", "postpone_limit 50", 0, &[[4, 4, 29, 44, 0], [4, 4, 29, 43, 0], [4, 4, 30, 45, 0]]),
-    ("spin_barrier.cil", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("spin_barrier.cil", "postpone_limit 300", 0, &[[4, 4, 29, 44, 0], [4, 4, 29, 43, 0], [4, 4, 30, 45, 0]]),
-    ("spin_barrier.cil", "postpone_limit 300", 256, &[[4, 4, 4, 1, 0], [4, 4, 4, 0, 0], [4, 4, 4, 4, 0]]),
-    ("spin_barrier.cil", "max_steps 12345", 0, &[[4, 4, 29, 43, 0], [4, 4, 29, 43, 0], [4, 4, 30, 16, 0]]),
-    ("spin_barrier.cil", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("polling shapes", "defaults", 0, &[[4, 4, 15, 48, 0]]),
-    ("polling shapes", "defaults", 256, &[[4, 4, 4, 0, 0]]),
-    ("polling shapes", "postpone_limit 1", 0, &[[4, 4, 15, 48, 0]]),
-    ("polling shapes", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0]]),
-    ("polling shapes", "postpone_limit 3", 0, &[[4, 4, 15, 48, 0]]),
-    ("polling shapes", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0]]),
-    ("polling shapes", "postpone_limit 50", 0, &[[4, 4, 15, 48, 0]]),
-    ("polling shapes", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0]]),
-    ("polling shapes", "postpone_limit 300", 0, &[[4, 4, 15, 48, 0]]),
-    ("polling shapes", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0]]),
-    ("polling shapes", "max_steps 12345", 0, &[[4, 4, 15, 48, 0]]),
-    ("polling shapes", "max_steps 12345", 256, &[[4, 4, 4, 0, 0]]),
-    ("pure spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("pure spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("pure spin", "postpone_limit 1", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
-    ("pure spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("pure spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
-    ("pure spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("pure spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("pure spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("pure spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("pure spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("pure spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("pure spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("allocating spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("allocating spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("allocating spin", "postpone_limit 1", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
-    ("allocating spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("allocating spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 43, 0], [4, 4, 17, 46, 0]]),
-    ("allocating spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("allocating spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("allocating spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("allocating spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("allocating spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("allocating spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("allocating spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("printing spin", "defaults", 0, &[[4, 4, 17, 41, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
-    ("printing spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("printing spin", "postpone_limit 1", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 45, 0], [4, 4, 17, 44, 0]]),
-    ("printing spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("printing spin", "postpone_limit 3", 0, &[[4, 4, 17, 44, 0], [4, 4, 17, 44, 0], [4, 4, 17, 45, 0]]),
-    ("printing spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("printing spin", "postpone_limit 50", 0, &[[4, 4, 17, 41, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
-    ("printing spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("printing spin", "postpone_limit 300", 0, &[[4, 4, 17, 41, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
-    ("printing spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("printing spin", "max_steps 12345", 0, &[[4, 4, 17, 41, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
-    ("printing spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("global-store spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("global-store spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("global-store spin", "postpone_limit 1", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
-    ("global-store spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("global-store spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 43, 0], [4, 4, 17, 43, 0], [4, 4, 17, 46, 0]]),
-    ("global-store spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("global-store spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("global-store spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("global-store spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("global-store spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("global-store spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("global-store spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("heap-write spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("heap-write spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("heap-write spin", "postpone_limit 1", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 44, 0]]),
-    ("heap-write spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("heap-write spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 44, 0], [4, 4, 17, 43, 0], [4, 4, 17, 43, 0], [4, 4, 17, 46, 0]]),
-    ("heap-write spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("heap-write spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("heap-write spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("heap-write spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("heap-write spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("heap-write spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 44, 0]]),
-    ("heap-write spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("interrupting spin", "defaults", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
-    ("interrupting spin", "defaults", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("interrupting spin", "postpone_limit 1", 0, &[[4, 4, 17, 45, 0], [4, 4, 17, 46, 0], [4, 4, 17, 45, 0]]),
-    ("interrupting spin", "postpone_limit 1", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("interrupting spin", "postpone_limit 3", 0, &[[4, 4, 17, 43, 0], [4, 4, 17, 46, 0], [4, 4, 17, 45, 0]]),
-    ("interrupting spin", "postpone_limit 3", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("interrupting spin", "postpone_limit 50", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
-    ("interrupting spin", "postpone_limit 50", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("interrupting spin", "postpone_limit 300", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
-    ("interrupting spin", "postpone_limit 300", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-    ("interrupting spin", "max_steps 12345", 0, &[[4, 4, 17, 42, 0], [4, 4, 17, 47, 0], [4, 4, 17, 45, 0]]),
-    ("interrupting spin", "max_steps 12345", 256, &[[4, 4, 4, 0, 0], [4, 4, 4, 0, 0], [4, 4, 4, 0, 0]]),
-];
-
-/// Spin windows with the prefix trie attached, capturing at every
-/// eligible loop-top (so capture ticks fall inside windows) and at the
-/// default gain, under each of `spin_trie_configs`: the frozen loop's
-/// outcomes, and the cache statistics the loop produced before it
-/// replayed windows.
+/// Spin windows in trials forked from the entry prologue, under each of
+/// `spin_cache_configs`: the frozen loop's outcomes.
 #[test]
-fn spin_windows_under_the_trie_match_the_frozen_loop() {
-    let mut table = String::new();
-    let mut observed: Vec<(String, String, u64, Vec<[u64; 5]>)> = Vec::new();
+fn spin_windows_under_the_prologue_cache_match_the_frozen_loop() {
     for (name, program) in spin_programs() {
-        for (label, base) in spin_trie_configs() {
-            for min_capture_gain in [0, SnapshotOptions::default().min_capture_gain] {
-                let options = SnapshotOptions {
-                    min_capture_gain,
-                    ..SnapshotOptions::with_mode(SnapshotMode::PrefixTrie)
-                };
-                let entry = EntryCache::new(options);
-                let mut stats: Vec<[u64; 5]> = Vec::new();
-                for pair in predicted(&program) {
-                    let trie = PairCache::new(entry.clone());
-                    for seed in SPIN_SEEDS {
-                        let config = FuzzConfig {
-                            seed,
-                            ..base.clone()
-                        };
-                        let expected = frozen_loop(&program, &pair_set(pair), &config);
-                        let actual =
-                            fuzz_pair_once_cached(&program, "main", pair, &config, Some(&trie))
-                                .expect("entry resolves");
-                        assert_eq!(
-                            format!("{actual:?}"),
-                            format!("{expected:?}"),
-                            "{name}: {pair:?} seed {seed} under the trie ({label}, gain \
-                             {min_capture_gain}) diverges from the frozen loop"
-                        );
-                    }
-                    let SnapshotStats {
-                        trials,
-                        cache_hits,
-                        fast_forwarded_steps,
-                        captures,
-                        evictions,
-                    } = trie.stats();
-                    stats.push([
-                        trials,
-                        cache_hits,
-                        fast_forwarded_steps,
-                        captures,
-                        evictions,
-                    ]);
+        for (label, base) in spin_cache_configs() {
+            let entry = EntryCache::new(SnapshotOptions::with_mode(SnapshotMode::PrologueOnly));
+            for pair in predicted(&program) {
+                let cache = PairCache::new(entry.clone());
+                for seed in SPIN_SEEDS {
+                    let config = FuzzConfig {
+                        seed,
+                        ..base.clone()
+                    };
+                    let expected = frozen_loop(&program, &pair_set(pair), &config);
+                    let actual =
+                        fuzz_pair_once_cached(&program, "main", pair, &config, Some(&cache))
+                            .expect("entry resolves");
+                    assert_eq!(
+                        format!("{actual:?}"),
+                        format!("{expected:?}"),
+                        "{name}: {pair:?} seed {seed} forked from the prologue ({label}) \
+                         diverges from the frozen loop"
+                    );
                 }
-                let _ = writeln!(
-                    table,
-                    "    ({name:?}, {label:?}, {min_capture_gain}, &{stats:?}),"
-                );
-                observed.push((name.clone(), label.clone(), min_capture_gain, stats));
             }
         }
     }
-    let expected: Vec<(String, String, u64, Vec<[u64; 5]>)> = EXPECTED_SPIN_TRIE_STATS
-        .iter()
-        .map(|&(name, label, gain, stats)| {
-            (name.to_owned(), label.to_owned(), gain, stats.to_vec())
-        })
-        .collect();
-    assert!(
-        observed == expected,
-        "spin-window trie statistics differ from the recorded ones; observed:\n{table}"
-    );
 }
 
 /// Iterations of the local warm-up in [`long_warmup_source`].
@@ -1039,11 +823,9 @@ const LONG_WARMUP: u64 = 50_000;
 
 /// A `main` that runs a local warm-up of [`LONG_WARMUP`] iterations, with
 /// or without an allocation in each, before it spawns two workers that
-/// race on `hits` and `last`. Every resume from its prologue, and every
-/// trie walk past it, discards hundreds of thousands of RNG draws: far
-/// above the count where `Rng::discard` stops stepping and jumps. Each
-/// worker's local loop after its racy write is long enough for the trie to
-/// capture there.
+/// race on `hits` and `last`. Every resume from its prologue discards
+/// hundreds of thousands of RNG draws: far above the count where
+/// `Rng::discard` stops stepping and jumps.
 fn long_warmup_source(allocating: bool) -> String {
     let alloc = if allocating { "pad = new Pad;" } else { "" };
     format!(
@@ -1085,85 +867,33 @@ fn long_warmup_source(allocating: bool) -> String {
 /// Seeds per long-warm-up pair.
 const LONG_WARMUP_SEEDS: [u64; 4] = [1, 2, 3, 4];
 
-/// Per long-warm-up program (local, then allocating): the `SnapshotStats`
-/// of each predicted pair after two passes of the [`LONG_WARMUP_SEEDS`]
-/// trials under `PrefixTrie`, as `[trials, cache_hits,
-/// fast_forwarded_steps, captures, evictions]`. Recorded by this test
-/// while `Rng::discard` still stepped one draw at a time.
-#[rustfmt::skip]
-const EXPECTED_LONG_WARMUP_TRIE_STATS: &[(&str, &[[u64; 5]])] = &[
-    ("local warm-up", &[[8, 8, 1605020, 15, 0], [8, 8, 1602848, 11, 0], [8, 8, 1600032, 0, 0]]),
-    ("allocating warm-up", &[[8, 8, 2400032, 26, 18], [8, 8, 2400032, 24, 16], [8, 8, 2400032, 0, 0]]),
-];
-
-/// Long warm-ups under all three snapshot modes: resumes and trie walks
-/// jump the generator past the warm-up's draws, and every outcome must
-/// still be the frozen loop's, with the trie statistics the stepping
-/// generator produced.
+/// Long warm-ups in both snapshot modes: resumes jump the generator past
+/// the warm-up's draws, and every outcome must still be the frozen loop's.
 #[test]
 fn long_warmup_pairs_match_the_frozen_loop() {
-    let mut table = String::new();
-    let mut observed: Vec<(&str, Vec<[u64; 5]>)> = Vec::new();
     for (name, allocating) in [("local warm-up", false), ("allocating warm-up", true)] {
         let program = cil::compile(&long_warmup_source(allocating)).expect("fixture compiles");
         let entries =
             SnapshotMode::ALL.map(|mode| EntryCache::new(SnapshotOptions::with_mode(mode)));
-        let mut stats: Vec<[u64; 5]> = Vec::new();
         for pair in predicted(&program) {
-            let [off, prologue, trie] = entries.clone().map(PairCache::new);
-            let expected: Vec<String> = LONG_WARMUP_SEEDS
-                .iter()
-                .map(|&seed| {
-                    let config = FuzzConfig::seeded(seed);
-                    format!("{:?}", frozen_loop(&program, &pair_set(pair), &config))
-                })
-                .collect();
-            // The second pass resumes each seed from the deepest snapshot
-            // on its own path, past the first non-forced choice.
-            let passes = [vec![&off, &prologue, &trie], vec![&trie]];
-            for (pass, caches) in passes.iter().enumerate() {
-                for (&seed, expected) in LONG_WARMUP_SEEDS.iter().zip(&expected) {
-                    let config = FuzzConfig::seeded(seed);
-                    for cache in caches {
-                        let actual =
-                            fuzz_pair_once_cached(&program, "main", pair, &config, Some(cache))
-                                .expect("entry resolves");
-                        assert_eq!(
-                            &format!("{actual:?}"),
-                            expected,
-                            "{name}: {pair:?} seed {seed} (pass {pass}) under {:?} diverges \
-                             from the frozen loop",
-                            cache.options().mode
-                        );
-                    }
+            let caches = entries.clone().map(PairCache::new);
+            for seed in LONG_WARMUP_SEEDS {
+                let config = FuzzConfig::seeded(seed);
+                let expected = format!("{:?}", frozen_loop(&program, &pair_set(pair), &config));
+                for cache in &caches {
+                    let actual =
+                        fuzz_pair_once_cached(&program, "main", pair, &config, Some(cache))
+                            .expect("entry resolves");
+                    assert_eq!(
+                        format!("{actual:?}"),
+                        expected,
+                        "{name}: {pair:?} seed {seed} under {:?} diverges from the frozen loop",
+                        cache.options().mode
+                    );
                 }
             }
-            let SnapshotStats {
-                trials,
-                cache_hits,
-                fast_forwarded_steps,
-                captures,
-                evictions,
-            } = trie.stats();
-            stats.push([
-                trials,
-                cache_hits,
-                fast_forwarded_steps,
-                captures,
-                evictions,
-            ]);
         }
-        let _ = writeln!(table, "    ({name:?}, &{stats:?}),");
-        observed.push((name, stats));
     }
-    let expected: Vec<(&str, Vec<[u64; 5]>)> = EXPECTED_LONG_WARMUP_TRIE_STATS
-        .iter()
-        .map(|&(name, stats)| (name, stats.to_vec()))
-        .collect();
-    assert!(
-        observed == expected,
-        "long-warm-up trie statistics differ from the recorded ones; observed:\n{table}"
-    );
 }
 
 proptest! {
