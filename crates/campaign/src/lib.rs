@@ -170,12 +170,13 @@ pub struct CampaignOptions {
     /// profiling entirely; [`CandidateSource::Union`] appends the static
     /// generator's extra pairs after the dynamic predictions.
     pub source: CandidateSource,
-    /// Phase-2 worker pool (default: sequential). With more than one
-    /// worker, pairs are fuzzed concurrently — each trial still isolated by
-    /// `catch_unwind` inside its worker — but results are *committed*
-    /// (report, failure artifacts, checkpoint) strictly in pair order
-    /// through a reorder buffer, so reports, artifact files, and every
-    /// intermediate checkpoint are identical to a sequential run.
+    /// Phase-2 worker pool (default: one worker, which is the calling
+    /// thread). With more than one worker, pairs are fuzzed concurrently —
+    /// each trial still isolated by `catch_unwind` inside its worker — but
+    /// results are *committed* (report, failure artifacts, checkpoint)
+    /// strictly in pair order through a reorder buffer, so reports,
+    /// artifact files, and every intermediate checkpoint are identical at
+    /// any worker count.
     pub parallel: ParallelOptions,
     /// Crash ledger written by the [`supervisor`]; pairs listed there are
     /// quarantined with [`QuarantineReason::CrashLoop`] before any trial
@@ -654,25 +655,14 @@ impl Campaign {
                 }
             };
 
-            let pairs = if self.options.parallel.is_parallel() {
-                self.run_pairs_parallel(
-                    runner,
-                    index,
-                    &mut jobs,
-                    filter.as_ref(),
-                    &ledger,
-                    &mut progress,
-                )?
-            } else {
-                self.run_pairs_sequential(
-                    runner,
-                    index,
-                    &mut jobs,
-                    filter.as_ref(),
-                    &ledger,
-                    &mut progress,
-                )?
-            };
+            let pairs = self.run_pairs(
+                runner,
+                index,
+                &mut jobs,
+                filter.as_ref(),
+                &ledger,
+                &mut progress,
+            )?;
             match pairs {
                 PairsProgress::Finished => {
                     if !jobs[index].done {
@@ -725,75 +715,24 @@ impl Campaign {
     }
 
     /// The per-job snapshot entry cache, or `None` when acceleration is
-    /// off (or when the trial template records schedules / carries a
-    /// wall-clock deadline, in which case racefuzzer bypasses the cache
-    /// per trial anyway — the cache is still created so statistics record
-    /// the bypass).
+    /// off. When the trial template records schedules or carries a
+    /// wall-clock deadline, racefuzzer drops the cache before each trial
+    /// starts, so such a pair reports all-zero [`SnapshotStats`].
     fn entry_cache(&self) -> Option<Arc<EntryCache>> {
         (self.options.snapshots.mode != SnapshotMode::Off)
             .then(|| EntryCache::new(self.options.snapshots))
     }
 
-    /// The pre-existing sequential pair loop: fuzz, commit, checkpoint,
-    /// advance — one pair at a time on the calling thread.
-    fn run_pairs_sequential(
-        &self,
-        runner: &(dyn TrialRunner + Sync),
-        index: usize,
-        jobs: &mut [JobOutcome],
-        filter: Option<&StaticRaceFilter>,
-        ledger: &CrashLedger,
-        progress: &mut RunProgress,
-    ) -> Result<PairsProgress, ArtifactError> {
-        let job = &self.jobs[index];
-        let entry_cache = self.entry_cache();
-        while jobs[index].next_pair < jobs[index].potential.len() {
-            let target = jobs[index].potential[jobs[index].next_pair];
-            if let Some(crashes) = ledger.lookup(&jobs[index].name, jobs[index].next_pair) {
-                self.commit_crashloop(&mut jobs[index], target, crashes);
-                progress.checkpoint.save(jobs)?;
-                continue;
-            }
-            if self.options.static_filter == StaticFilterMode::Prune {
-                if let Some(reason) = filter.and_then(|f| f.refute(&job.program, &target)) {
-                    self.commit_pruned(&mut jobs[index], target, reason);
-                    progress.checkpoint.save(jobs)?;
-                    continue;
-                }
-            }
-            let run = run_pair(
-                runner,
-                &job.program,
-                &job.entry,
-                target,
-                &self.options,
-                entry_cache.as_ref(),
-            );
-            let fatal = self.commit_pair(job, &mut jobs[index], run)?;
-            self.audit_pair(job, &mut jobs[index], filter, target);
-            if let Some(message) = fatal {
-                jobs[index].error = Some(message);
-                jobs[index].done = true;
-                progress.checkpoint.save(jobs)?;
-                return Ok(PairsProgress::JobStopped);
-            }
-            jobs[index].next_pair += 1;
-            progress.checkpoint.save(jobs)?;
-            progress.pairs_this_run += 1;
-            if Some(progress.pairs_this_run) == self.options.stop_after_pairs {
-                return Ok(PairsProgress::Interrupted);
-            }
-        }
-        Ok(PairsProgress::Finished)
-    }
-
-    /// The parallel pair loop: workers steal pair indices off an atomic
-    /// cursor and fuzz them concurrently (every trial still isolated by
-    /// `catch_unwind` inside its worker); the calling thread commits
-    /// finished pairs strictly in pair order through a reorder buffer, so
-    /// reports, artifact files, and every intermediate checkpoint are
-    /// byte-identical to [`Campaign::run_pairs_sequential`].
-    fn run_pairs_parallel(
+    /// The pair loop. Crash-ledger and prune verdicts are settled up front
+    /// on the calling thread — both are deterministic and cheap — and the
+    /// calling thread commits every pair strictly in pair order: report,
+    /// failure artifacts, checkpoint. With one worker it also runs each
+    /// pair itself, just before committing it. With more, workers steal
+    /// pair offsets off an atomic cursor and fuzz them concurrently (every
+    /// trial still isolated by `catch_unwind`), and finished pairs wait in
+    /// a reorder buffer for their turn. Reports, artifact files, and every
+    /// intermediate checkpoint are the same bytes at any worker count.
+    fn run_pairs(
         &self,
         runner: &(dyn TrialRunner + Sync),
         index: usize,
@@ -804,14 +743,7 @@ impl Campaign {
     ) -> Result<PairsProgress, ArtifactError> {
         let job = &self.jobs[index];
         let start = jobs[index].next_pair;
-        let total = jobs[index].potential.len();
-        if start >= total {
-            return Ok(PairsProgress::Finished);
-        }
         let targets: Vec<RacePair> = jobs[index].potential[start..].to_vec();
-        // Prune and crash-ledger decisions are made up front on this
-        // thread — both are deterministic and cheap — so workers do pure
-        // trial work.
         let crash_looped: Vec<Option<u32>> = (0..targets.len())
             .map(|offset| ledger.lookup(&jobs[index].name, start + offset))
             .collect();
@@ -832,66 +764,71 @@ impl Campaign {
             .filter(|&offset| refuted[offset].is_none() && crash_looped[offset].is_none())
             .collect();
 
+        // Shared read-side across workers: the entry prologue is computed
+        // by whichever trial gets there first and reused by all.
+        let entry_cache = self.entry_cache();
+        let fuzz = |offset: usize| {
+            run_pair(
+                runner,
+                &job.program,
+                &job.entry,
+                targets[offset],
+                &self.options,
+                entry_cache.as_ref(),
+            )
+        };
+        // One worker is the calling thread itself: no pool at all.
+        let worker_count = if self.options.parallel.workers > 1 {
+            self.options.parallel.workers.min(work.len())
+        } else {
+            0
+        };
         let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
-        // Shared read-side across workers: the entry prologue is computed
-        // by whichever worker gets there first and reused by all.
-        let entry_cache = self.entry_cache();
-        let (sender, receiver) = mpsc::channel::<(usize, PairRun)>();
-        let worker_count = self.options.parallel.workers.max(1).min(work.len().max(1));
-        // Worker-loss bookkeeping: which worker claimed each offset
-        // (worker id + 1; 0 = unclaimed), and which workers are still
-        // running. A worker that dies without delivering — injected via
-        // the `campaign.worker` failpoint, or a panic outside the
-        // per-trial guard — must not hang the commit loop forever.
         let claimed: Vec<AtomicUsize> = (0..targets.len()).map(|_| AtomicUsize::new(0)).collect();
         let alive: Vec<AtomicBool> = (0..worker_count).map(|_| AtomicBool::new(true)).collect();
 
         std::thread::scope(|scope| {
-            for worker_id in 0..worker_count {
-                let sender = sender.clone();
-                let (cursor, stop, work, targets) = (&cursor, &stop, &work, &targets);
-                let (claimed, alive) = (&claimed, &alive);
-                let entry_cache = &entry_cache;
-                scope.spawn(move || {
-                    // Flips the liveness flag on *any* exit path, panics
-                    // included, so the commit thread can tell a slow trial
-                    // from a result that will never arrive.
-                    let _liveness = WorkerGuard(&alive[worker_id]);
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
+            let mut pool = (worker_count > 0).then(|| {
+                let (sender, receiver) = mpsc::channel::<(usize, PairRun)>();
+                for worker_id in 0..worker_count {
+                    let sender = sender.clone();
+                    let (cursor, stop, work, fuzz) = (&cursor, &stop, &work, &fuzz);
+                    let (claimed, alive) = (&claimed, &alive);
+                    scope.spawn(move || {
+                        // Flips the liveness flag on *any* exit path, panics
+                        // included, so the commit thread can tell a slow
+                        // trial from a result that will never arrive.
+                        let _liveness = WorkerGuard(&alive[worker_id]);
+                        loop {
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(&offset) = work.get(slot) else {
+                                break;
+                            };
+                            claimed[offset].store(worker_id + 1, Ordering::Release);
+                            if faults::hit("campaign.worker") == faults::Fault::Error {
+                                return; // injected worker death: deliver nothing
+                            }
+                            let Ok(run) = catch_unwind(AssertUnwindSafe(|| fuzz(offset))) else {
+                                return; // worker-level panic: die without delivering
+                            };
+                            if sender.send((offset, run)).is_err() {
+                                break; // the commit loop returned early
+                            }
                         }
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&offset) = work.get(slot) else {
-                            break;
-                        };
-                        claimed[offset].store(worker_id + 1, Ordering::Release);
-                        if faults::hit("campaign.worker") == faults::Fault::Error {
-                            return; // injected worker death: deliver nothing
-                        }
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_pair(
-                                runner,
-                                &job.program,
-                                &job.entry,
-                                targets[offset],
-                                &self.options,
-                                entry_cache.as_ref(),
-                            )
-                        }));
-                        let Ok(run) = run else {
-                            return; // worker-level panic: die without delivering
-                        };
-                        if sender.send((offset, run)).is_err() {
-                            break; // the commit loop returned early
-                        }
-                    }
-                });
-            }
-            drop(sender);
+                    });
+                }
+                Deliveries {
+                    receiver,
+                    buffer: BTreeMap::new(),
+                    claimed: &claimed,
+                    alive: &alive,
+                }
+            });
 
-            let mut buffer: BTreeMap<usize, PairRun> = BTreeMap::new();
             for offset in 0..targets.len() {
                 let target = targets[offset];
                 if let Some(crashes) = crash_looped[offset] {
@@ -904,43 +841,9 @@ impl Campaign {
                     progress.checkpoint.save(jobs)?;
                     continue;
                 }
-                let run = loop {
-                    if let Some(run) = buffer.remove(&offset) {
-                        break run;
-                    }
-                    match receiver.recv_timeout(self.options.worker_stall) {
-                        Ok((arrived, run)) => {
-                            if arrived == offset {
-                                break run;
-                            }
-                            buffer.insert(arrived, run);
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            // Every worker has exited and this pair never
-                            // arrived: the claiming worker died mid-pair.
-                            break worker_loss_run(target, &self.options);
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            // Only declare the pair lost if the worker that
-                            // claimed it is gone; a live worker is just
-                            // running long trials, so keep waiting.
-                            let claim = claimed[offset].load(Ordering::Acquire);
-                            let claimer_dead =
-                                claim != 0 && !alive[claim - 1].load(Ordering::Acquire);
-                            if claimer_dead {
-                                // Final drain: the claimer may have
-                                // delivered this pair and died on a later
-                                // one.
-                                while let Ok((arrived, run)) = receiver.try_recv() {
-                                    buffer.insert(arrived, run);
-                                }
-                                if let Some(run) = buffer.remove(&offset) {
-                                    break run;
-                                }
-                                break worker_loss_run(target, &self.options);
-                            }
-                        }
-                    }
+                let run = match &mut pool {
+                    None => fuzz(offset),
+                    Some(pool) => pool.take(offset, target, &self.options),
                 };
                 let fatal = self.commit_pair(job, &mut jobs[index], run)?;
                 self.audit_pair(job, &mut jobs[index], filter, target);
@@ -1006,8 +909,8 @@ impl Campaign {
             state.failures.push(failure);
         }
         if run.fatal.is_some() {
-            // Match the historical sequential behavior: a setup error
-            // abandons the pair without pushing its partial report.
+            // A setup error abandons the pair without pushing its partial
+            // report.
             return Ok(run.fatal);
         }
         state.reports.push(run.report);
@@ -1217,6 +1120,63 @@ pub struct ArtifactSweep {
     pub skipped: Vec<(PathBuf, QuarantineReason)>,
 }
 
+/// The commit thread's side of a campaign's worker pool: pairs arrive in
+/// any order and wait here for their turn.
+struct Deliveries<'a> {
+    receiver: mpsc::Receiver<(usize, PairRun)>,
+    /// Runs that arrived before their turn, by pair offset.
+    buffer: BTreeMap<usize, PairRun>,
+    /// Which worker claimed each offset (worker id + 1; 0 = unclaimed).
+    claimed: &'a [AtomicUsize],
+    /// Which workers are still running. A worker that dies without
+    /// delivering — injected via the `campaign.worker` failpoint, or a
+    /// panic outside the per-trial guard — must not hang the commit loop
+    /// forever.
+    alive: &'a [AtomicBool],
+}
+
+impl Deliveries<'_> {
+    /// Waits for the run of the pair at `offset`, or synthesizes a worker
+    /// loss if the worker that claimed it died before delivering.
+    fn take(&mut self, offset: usize, target: RacePair, options: &CampaignOptions) -> PairRun {
+        loop {
+            if let Some(run) = self.buffer.remove(&offset) {
+                return run;
+            }
+            match self.receiver.recv_timeout(options.worker_stall) {
+                Ok((arrived, run)) => {
+                    if arrived == offset {
+                        return run;
+                    }
+                    self.buffer.insert(arrived, run);
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // Every worker has exited and this pair never arrived:
+                    // the claiming worker died mid-pair.
+                    return worker_loss_run(target, options);
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    // Only declare the pair lost if the worker that claimed
+                    // it is gone; a live worker is just running long
+                    // trials, so keep waiting.
+                    let claim = self.claimed[offset].load(Ordering::Acquire);
+                    if claim != 0 && !self.alive[claim - 1].load(Ordering::Acquire) {
+                        // Final drain: the claimer may have delivered this
+                        // pair and died on a later one.
+                        while let Ok((arrived, run)) = self.receiver.try_recv() {
+                            self.buffer.insert(arrived, run);
+                        }
+                        return self
+                            .buffer
+                            .remove(&offset)
+                            .unwrap_or_else(|| worker_loss_run(target, options));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Sets its worker's liveness flag to `false` when dropped — however the
 /// worker exits.
 struct WorkerGuard<'a>(&'a AtomicBool);
@@ -1295,9 +1255,9 @@ pub fn reproduce_on(
 }
 
 /// Runs every trial of one pair — retries, backoff, quarantine — without
-/// touching any shared state. Both the sequential loop and the parallel
-/// workers use this; the difference is only *where* it runs and when the
-/// resulting [`PairRun`] is committed.
+/// touching any shared state. The commit thread calls it inline with one
+/// worker, and pool workers call it with more; the difference is only
+/// *where* it runs and when the resulting [`PairRun`] is committed.
 fn run_pair(
     runner: &dyn TrialRunner,
     program: &cil::Program,

@@ -1,13 +1,16 @@
 //! Integration tests for the campaign's static pre-analysis modes: pruned
 //! pairs are quarantined with a structured reason (and survive
 //! checkpoint/resume), audit mode cross-checks confirmed races, and the
-//! filter never changes which races a campaign confirms.
+//! filter never changes which races a campaign confirms. One case mixes
+//! pruning with crash-ledger skips and repeated stops, and checks that one
+//! worker and four commit the same checkpoint bytes.
 
+use campaign::journal::journal_path;
 use campaign::{
-    Campaign, CampaignJob, CampaignOptions, QuarantineReason, StaticFilterMode,
+    Campaign, CampaignJob, CampaignOptions, CrashLedger, QuarantineReason, StaticFilterMode,
 };
 use detector::{Policy, PredictConfig};
-use racefuzzer::FuzzConfig;
+use racefuzzer::{FuzzConfig, ParallelOptions};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -160,4 +163,92 @@ fn pruned_quarantines_survive_checkpoint_resume() {
         format!("{:?}", uninterrupted.jobs[0].reports)
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// `mixed_program` with a second really racy global, so that several
+/// pairs survive the filter and get fuzzed one invocation at a time.
+fn two_race_program() -> cil::Program {
+    cil::compile(
+        r#"
+        global x = 0;
+        global y = 0;
+        global z = 0;
+        proc child() {
+            x = x + 1;
+            y = y + 1;
+            z = z + 1;
+        }
+        proc main() {
+            y = 1;
+            var t = spawn child();
+            x = 2;
+            z = 3;
+            join t;
+            y = 3;
+        }
+        "#,
+    )
+    .unwrap()
+}
+
+#[test]
+fn crash_ledger_prune_and_stops_commit_the_same_bytes_at_any_worker_count() {
+    let job = || vec![CampaignJob::new("two-race", two_race_program(), "main")];
+    let mut runs = Vec::new();
+    for workers in [1, 4] {
+        let checkpoint = temp_path(&format!("merged-loop-w{workers}.json"));
+        let journal = journal_path(&checkpoint);
+        let ledger_path = temp_path(&format!("merged-loop-w{workers}.ledger"));
+        std::fs::remove_file(&checkpoint).ok();
+        std::fs::remove_file(&journal).ok();
+        // The supervisor saw pair 0 kill the process twice.
+        let mut ledger = CrashLedger::empty();
+        ledger.note("two-race", 0, 2);
+        ledger.save(&ledger_path).unwrap();
+        let options = CampaignOptions {
+            static_filter: StaticFilterMode::Prune,
+            checkpoint_path: Some(checkpoint.clone()),
+            crash_ledger_path: Some(ledger_path.clone()),
+            stop_after_pairs: Some(1),
+            parallel: ParallelOptions::with_workers(workers),
+            ..lockset_options()
+        };
+        // Resume one fuzzed pair at a time until the campaign completes,
+        // keeping the checkpoint and journal bytes after every stop.
+        let mut stops = Vec::new();
+        let last = loop {
+            let report = Campaign::new(job(), options.clone()).run().unwrap();
+            stops.push((
+                std::fs::read(&checkpoint).unwrap(),
+                std::fs::read(&journal).unwrap(),
+            ));
+            if report.completed() {
+                break report;
+            }
+            assert!(report.interrupted, "workers={workers}");
+            assert!(stops.len() < 64, "workers={workers}: the campaign never completes");
+        };
+        let quarantined = &last.jobs[0].quarantined;
+        assert!(
+            matches!(quarantined[0].reason, QuarantineReason::CrashLoop(2)),
+            "workers={workers}: {quarantined:?}"
+        );
+        assert!(
+            quarantined
+                .iter()
+                .any(|entry| matches!(entry.reason, QuarantineReason::StaticallyPruned(_))),
+            "workers={workers}: {quarantined:?}"
+        );
+        assert!(!last.jobs[0].real_races().is_empty(), "workers={workers}");
+        assert!(stops.len() > 2, "workers={workers}: {} stop(s)", stops.len());
+        runs.push((stops, last.canonical_json()));
+        for path in [&checkpoint, &journal, &ledger_path] {
+            std::fs::remove_file(path).ok();
+        }
+    }
+    assert!(
+        runs[0].0 == runs[1].0,
+        "checkpoint bytes differ between 1 and 4 workers"
+    );
+    assert_eq!(runs[0].1, runs[1].1);
 }

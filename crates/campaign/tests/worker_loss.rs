@@ -37,10 +37,7 @@ fn dead_worker_is_detected_and_the_campaign_finishes() {
     .unwrap();
     let options = CampaignOptions {
         trials_per_pair: 3,
-        parallel: ParallelOptions {
-            workers: 4,
-            ..ParallelOptions::default()
-        },
+        parallel: ParallelOptions::with_workers(4),
         // Short liveness-probe interval so the test detects the dead
         // worker quickly; before the fix this campaign blocked forever on
         // the lost pair's result.

@@ -68,7 +68,7 @@ pub use deadlock::{
     confirm_deadlock, hunt_deadlocks, DeadlockConfirmation, DeadlockHuntReport, DeadlockOptions,
 };
 pub use outcome::{FuzzOutcome, RealRaceEvent};
-pub use parallel::{fuzz_pairs_parallel, ParallelOptions};
+pub use parallel::ParallelOptions;
 pub use runner::{
     analyze, fuzz_pair, gather_candidates, simple_random_exceptions, AnalysisReport,
     AnalyzeOptions, CandidateSource, PairReport, Provenance,

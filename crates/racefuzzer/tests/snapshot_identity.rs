@@ -26,13 +26,9 @@ use std::time::Duration;
 const TRIALS: usize = 6;
 
 fn options(mode: SnapshotMode, workers: usize) -> AnalyzeOptions {
-    let mut options = AnalyzeOptions::with_trials(TRIALS)
+    AnalyzeOptions::with_trials(TRIALS)
         .workers(workers)
-        .snapshot_mode(mode);
-    // A chunk of 4 never divides 6 trials evenly, so the parallel merge
-    // handles ragged seed ranges on every pair.
-    options.parallel.chunk = 4;
-    options
+        .snapshot_mode(mode)
 }
 
 fn render(report: &AnalysisReport) -> String {

@@ -164,10 +164,7 @@ pub fn options(dir: &Path, workers: usize) -> CampaignOptions {
         artifact_dir: Some(artifact_dir(dir)),
         checkpoint_path: Some(checkpoint_path(dir)),
         crash_ledger_path: Some(ledger_path(dir)),
-        parallel: ParallelOptions {
-            workers,
-            ..ParallelOptions::default()
-        },
+        parallel: ParallelOptions::with_workers(workers),
         ..CampaignOptions::default()
     }
 }

@@ -5,9 +5,13 @@
 //! options)` — the worker count and the steal order a particular run
 //! happens to see must not leak into any reported number. These tests pin
 //! that promise across every Table-1 workload and several worker counts,
-//! including one (7) that does not divide any trial count evenly.
+//! including one (7) that does not divide any trial count evenly, against
+//! a baseline folded trial by trial outside the pool.
 
-use racefuzzer::{analyze, AnalysisReport, AnalyzeOptions};
+use racefuzzer::{
+    analyze, fuzz_pair_once, gather_candidates, AnalysisReport, AnalyzeOptions, FuzzConfig,
+    PairReport,
+};
 
 /// Trials per pair: small enough to keep the full 14-workload sweep fast,
 /// large enough that every workload hits races, exceptions, and first-seed
@@ -15,11 +19,38 @@ use racefuzzer::{analyze, AnalysisReport, AnalyzeOptions};
 const TRIALS: usize = 8;
 
 fn options(workers: usize) -> AnalyzeOptions {
-    let mut options = AnalyzeOptions::with_trials(TRIALS).workers(workers);
-    // Chunk of 3 never divides 8 trials evenly: every pair gets chunks of
-    // 3 + 3 + 2, so the merge path handles ragged tails on every pair.
-    options.parallel.chunk = 3;
-    options
+    AnalyzeOptions::with_trials(TRIALS).workers(workers)
+}
+
+/// The report `analyze` must produce, built without the trial pool: one
+/// `fuzz_pair_once` per (pair, seed), folded with `PairReport::absorb` in
+/// seed order.
+fn per_trial_fold(program: &cil::Program, entry: &str, options: &AnalyzeOptions) -> AnalysisReport {
+    let (potential, provenance) =
+        gather_candidates(program, entry, &options.predict, options.source)
+            .expect("prediction succeeds");
+    let pairs = potential
+        .iter()
+        .map(|&target| {
+            let mut report = PairReport::empty(target);
+            for trial in 0..options.trials_per_pair {
+                let seed = options.base_seed + trial as u64;
+                let config = FuzzConfig {
+                    seed,
+                    ..options.fuzz.clone()
+                };
+                let outcome = fuzz_pair_once(program, entry, target, &config).expect("trial runs");
+                report.absorb(seed, &outcome, program);
+            }
+            report
+        })
+        .collect();
+    AnalysisReport {
+        potential,
+        provenance,
+        pairs,
+        pruned: Vec::new(),
+    }
 }
 
 fn render(report: &AnalysisReport) -> String {
@@ -30,10 +61,9 @@ fn render(report: &AnalysisReport) -> String {
 fn worker_count_does_not_change_any_report() {
     let mut failures = Vec::new();
     for workload in workloads::all() {
-        let baseline = analyze(&workload.program, workload.entry, &options(1))
-            .expect("sequential analysis succeeds");
+        let baseline = per_trial_fold(&workload.program, workload.entry, &options(1));
         let expected = render(&baseline);
-        for workers in [2, 4, 7] {
+        for workers in [1, 2, 4, 7] {
             let parallel = analyze(&workload.program, workload.entry, &options(workers))
                 .expect("parallel analysis succeeds");
             if render(&parallel) != expected {
@@ -43,7 +73,7 @@ fn worker_count_does_not_change_any_report() {
     }
     assert!(
         failures.is_empty(),
-        "parallel reports diverged from sequential: {failures:?}"
+        "pooled reports diverged from the per-trial fold: {failures:?}"
     );
 }
 
