@@ -6,10 +6,7 @@
 //!
 //! * `tree_walk` — the original AST-walking `exec_instr`,
 //! * `bytecode` — the register-bytecode VM with superinstruction fusion
-//!   and inline field caches (the default engine),
-//! * `bytecode_unfused` — the same VM on a [`CodeImage::compile_unfused`]
-//!   image: identical semantics, one micro-op dispatch per expression
-//!   node, no head-carried `RValue`s — the fusion ablation.
+//!   and inline field caches (the default engine).
 //!
 //! Two loop bodies are swept: `locals` (pure register arithmetic, the
 //! fused load-op-store / compare-and-branch / index-increment shapes) and
@@ -18,7 +15,6 @@
 //!
 //! Run with `cargo bench -p rf-bench --bench dispatch_ops`.
 
-use cil::bytecode::CodeImage;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use interp::{ExecEngine, Execution, NullObserver, StepResult, ThreadId};
 
@@ -75,11 +71,9 @@ fn bench_dispatch(c: &mut Criterion) {
     group.sample_size(40);
     for (shape, source) in [("locals", LOCALS_LOOP), ("fields", FIELDS_LOOP)] {
         let program = cil::compile(source).expect("bench program compiles");
-        let unfused = CodeImage::compile_unfused(&program);
-        let fused = program.bytecode();
         assert!(
-            fused.fused_count() > 0 && unfused.fused_count() == 0,
-            "fusion knob must separate the images"
+            program.bytecode().fused_count() > 0,
+            "bench loops must exercise fused superinstructions"
         );
         group.bench_function(BenchmarkId::new("tree_walk", shape), |b| {
             b.iter(|| {
@@ -92,14 +86,6 @@ fn bench_dispatch(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("bytecode", shape), |b| {
             b.iter(|| {
                 let mut exec = Execution::new(&program, "main").expect("entry exists");
-                run_to_exit(&mut exec);
-                black_box(exec.steps())
-            })
-        });
-        group.bench_function(BenchmarkId::new("bytecode_unfused", shape), |b| {
-            b.iter(|| {
-                let mut exec = Execution::new(&program, "main").expect("entry exists");
-                exec.set_code_image(&unfused);
                 run_to_exit(&mut exec);
                 black_box(exec.steps())
             })

@@ -9,7 +9,7 @@
 //! * `fresh` — `fuzz_pair_once` in a loop: a new interpreter per trial
 //!   (the pre-snapshot baseline),
 //! * `scratch` — `fuzz_pair`: no snapshots, but one reused
-//!   [`racefuzzer::algorithm::TrialScratch`] across trials,
+//!   `TrialScratch` across trials,
 //! * `prologue` — every trial forks from the entry prologue
 //!   ([`SnapshotMode::PrologueOnly`], the default).
 //!

@@ -1,33 +1,42 @@
 //! The register-bytecode backend: a flat micro-op encoding of the IR.
 //!
-//! [`Instr`]s are trees: a `StoreElem` holds two [`PureExpr`]s, each an
-//! arbitrary expression tree, and executing one statement means recursing
-//! through boxed nodes and matching a 26-variant enum at every level. The
-//! bytecode pass flattens each instruction into a short run of register
-//! micro-ops ([`Op`]) over the *existing* frame slots plus a small bank of
-//! per-step temporaries, and fuses the hot shapes — `i = i + 1`
-//! (index-increment), `x = x op y` into a local (load-op-store), and
-//! `if (a < b)` (compare-and-branch) — into single superinstructions by
-//! carrying the top expression node inline in the head op ([`RValue`]).
+//! [`Instr`]s are trees: a `StoreElem` holds two
+//! [`PureExpr`](crate::flat::PureExpr)s, each an arbitrary expression tree,
+//! and executing one statement means recursing through boxed nodes and
+//! matching a 26-variant enum at every level. The bytecode pass flattens
+//! each instruction into a short run of register micro-ops ([`Op`]) over
+//! the *existing* frame slots plus a small bank of per-step temporaries,
+//! and fuses the hot shapes — `i = i + 1` (index-increment), `x = x op y`
+//! into a local (load-op-store), and `if (a < b)` (compare-and-branch) —
+//! into single superinstructions by carrying the top expression node
+//! inline in the head op ([`RValue`]).
 //!
 //! **Granularity invariant**: one source [`InstrId`] compiles to one
-//! contiguous op range, and the interpreter executes the *whole range* as
-//! one `step()`. Fusion never crosses an instruction boundary, so the
-//! scheduler sees exactly the statement granularity the RaceFuzzer
-//! algorithms (and the paper's §2.1 machine model) are defined over.
+//! contiguous op range — zero or more [`Op::Expr`] pre-ops and one head —
+//! and the interpreter executes the *whole range* as one `step()`. Fusion
+//! never crosses an instruction boundary, so the scheduler sees exactly the
+//! statement granularity the RaceFuzzer algorithms (and the paper's §2.1
+//! machine model) are defined over.
+//!
+//! **The tree-walker finishes what the ops cannot.** The interpreter runs
+//! an op range only as far as its common case goes; any op it cannot
+//! finish (a throwing operation, a missing field, an event-consuming
+//! observer) hands the whole source instruction to the tree-walking
+//! interpreter, which re-executes it from scratch. That is sound because
+//! pre-ops write only temporaries, which are dead between steps, and a head
+//! performs no write before its last check. Cold instructions —
+//! synchronization, calls, allocation, exceptions, I/O — compile straight
+//! to a lone [`Op::Fallback`].
 //!
 //! **Evaluation-order equivalence**: ops for an expression tree are emitted
 //! in tree-walk recursion order (left subtree, right subtree, combining
 //! node), and the only computation moved in time is the *reading of
-//! `Const`/`Local` leaves*, which is side-effect-free and cannot throw —
-//! every throwing node (binary op, `len`) executes at the same point, with
-//! the same operand values, as the recursive evaluator would execute it.
+//! `Const`/`Local` leaves*, which is side-effect-free and cannot throw.
 //! Heads whose tree-walk semantics perform checks *before* evaluating an
 //! operand expression (`StoreField`/`LoadElem`/`StoreElem` check the
 //! receiver first) only fuse operands that compile without emitted ops
-//! ([`no_ops_rvalue`]); anything more complex falls back to the tree-walker
-//! for that single instruction ([`Op::Fallback`]), preserving exception
-//! order by construction.
+//! (`no_ops_rvalue`); anything more complex compiles to [`Op::Fallback`]
+//! for that single instruction.
 //!
 //! Alongside the ops, the pass precomputes two per-pc tables the scheduler
 //! consumes directly:
@@ -420,19 +429,6 @@ impl CodeImage {
     /// [`CodeImage::compile`], surfacing the oversized-program case as a
     /// typed error instead of a panic.
     pub fn try_compile(program: &Program) -> Result<CodeImage, ImageLimitError> {
-        Self::compile_with(program, true)
-    }
-
-    /// [`CodeImage::compile`] with superinstruction fusion disabled: every
-    /// operand expression lowers to explicit [`Op::Expr`] micro-ops (or the
-    /// tree-walk fallback where evaluation order forbids pre-ops). Same
-    /// observable semantics, strictly more dispatches — the baseline the
-    /// `dispatch_ops` micro-bench compares fusion against.
-    pub fn compile_unfused(program: &Program) -> CodeImage {
-        Self::compile_with(program, false).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    fn compile_with(program: &Program, fuse: bool) -> Result<CodeImage, ImageLimitError> {
         let mut compiler = Compiler {
             ops: Vec::with_capacity(program.instr_count() * 2),
             pool: Vec::new(),
@@ -440,7 +436,6 @@ impl CodeImage {
             max_temps: 0,
             cache_sites: 0,
             fused: 0,
-            fuse,
         };
         let count = program.instr_count();
         let mut starts = Vec::with_capacity(count + 1);
@@ -599,9 +594,6 @@ struct Compiler {
     max_temps: u32,
     cache_sites: u32,
     fused: u32,
-    /// `false` disables superinstruction fusion (the `compile_unfused`
-    /// baseline): heads only ever carry leaf-or-temp `RValue::Op`s.
-    fuse: bool,
 }
 
 impl Compiler {
@@ -693,9 +685,6 @@ impl Compiler {
     /// `Branch`): pre-ops run before the head's own checks.
     fn head_rvalue(&mut self, expr: &crate::flat::PureExpr) -> RValue {
         use crate::flat::PureExpr;
-        if !self.fuse {
-            return RValue::Op(self.compile_expr(expr));
-        }
         let rv = match expr {
             PureExpr::Unary { op, operand } => {
                 let source = self.compile_expr(operand);
@@ -725,9 +714,6 @@ impl Compiler {
     /// head keeps it at its tree-walk sequence point.
     fn no_ops_rvalue(&mut self, expr: &crate::flat::PureExpr) -> Option<RValue> {
         use crate::flat::PureExpr;
-        if !self.fuse {
-            return Some(RValue::Op(self.leaf_operand(expr)?));
-        }
         let rv = match expr {
             PureExpr::Unary { op, operand } => {
                 let source = self.leaf_operand(operand)?;
@@ -851,9 +837,9 @@ impl Compiler {
         };
         if matches!(head, Op::Fallback) {
             // A fallback range must be the instruction's *only* op: the
-            // tree-walker re-executes the instruction from scratch, so any
-            // already-emitted pre-op would run twice. Rolling back is safe
-            // because pre-ops only write temporaries.
+            // tree-walker executes the instruction from scratch and never
+            // reads the temporaries a pre-op would have written, so the
+            // interpreter hands the range over without running any.
             self.ops.truncate(self.starts_boundary());
         }
         self.ops.push(head);

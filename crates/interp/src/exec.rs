@@ -375,7 +375,7 @@ impl<'p> Execution<'p> {
 
     /// Mutable access to one thread's state, copying it first if a
     /// snapshot still shares it (cloned-on-first-write frames).
-    pub(crate) fn thread_mut(&mut self, thread: ThreadId) -> &mut ThreadState {
+    fn thread_mut(&mut self, thread: ThreadId) -> &mut ThreadState {
         Arc::make_mut(&mut self.threads[thread.index()])
     }
 
@@ -411,25 +411,6 @@ impl<'p> Execution<'p> {
             }
             ExecEngine::TreeWalk => self.code = None,
         }
-    }
-
-    /// Replaces the bytecode image driving [`ExecEngine::Bytecode`] and
-    /// switches to that engine — bench support for comparing compile
-    /// variants (e.g. [`CodeImage::compile_unfused`]) on one program.
-    ///
-    /// `code` must have been compiled from this execution's program; the
-    /// footprint table, cache-site count, and temp bank are all
-    /// image-relative, so a mismatched image is immediate undefined
-    /// *behaviour of the interpreted program* (not memory unsafety).
-    pub fn set_code_image(&mut self, code: &'p CodeImage) {
-        self.engine = ExecEngine::Bytecode;
-        self.vm_temps.resize(code.max_temps() as usize, Value::Null);
-        // Cache sites are numbered per image: entries learned under the
-        // previous image would hit the wrong slots, so scrub them all.
-        self.field_caches.clear();
-        self.field_caches
-            .resize(code.cache_sites() as usize, EMPTY_CACHE);
-        self.code = Some(code);
     }
 
     /// The engine [`Execution::step`] currently dispatches to.
@@ -1000,7 +981,7 @@ impl<'p> Execution<'p> {
         self.msg_counter
     }
 
-    pub(crate) fn throw(&self, name: Symbol, message: impl Into<String>, at: InstrId) -> Thrown {
+    fn throw(&self, name: Symbol, message: impl Into<String>, at: InstrId) -> Thrown {
         Thrown {
             name,
             message: Some(Arc::from(message.into().as_str())),
@@ -1010,7 +991,7 @@ impl<'p> Execution<'p> {
 
     /// Borrows a local slot without cloning the value — the hot-path way
     /// to inspect a lock/handle operand.
-    pub(crate) fn local_ref(&self, thread: ThreadId, slot: LocalId) -> &Value {
+    fn local_ref(&self, thread: ThreadId, slot: LocalId) -> &Value {
         &self.threads[thread.index()].frame().locals[slot.index()]
     }
 
@@ -1070,7 +1051,7 @@ impl<'p> Execution<'p> {
         }
     }
 
-    pub(crate) fn eval_binop(
+    fn eval_binop(
         &self,
         op: BinOp,
         left: Value,
@@ -1122,7 +1103,7 @@ impl<'p> Execution<'p> {
         }
     }
 
-    pub(crate) fn as_bool(&self, value: Value, at: InstrId) -> Result<bool, Thrown> {
+    fn as_bool(&self, value: Value, at: InstrId) -> Result<bool, Thrown> {
         match value {
             Value::Bool(b) => Ok(b),
             other => Err(self.throw(
@@ -1133,7 +1114,7 @@ impl<'p> Execution<'p> {
         }
     }
 
-    pub(crate) fn as_ref(&self, value: &Value, what: &str, at: InstrId) -> Result<ObjId, Thrown> {
+    fn as_ref(&self, value: &Value, what: &str, at: InstrId) -> Result<ObjId, Thrown> {
         match value {
             Value::Ref(obj) => Ok(*obj),
             Value::Null => Err(self.throw(
@@ -1149,7 +1130,7 @@ impl<'p> Execution<'p> {
         }
     }
 
-    pub(crate) fn emit_mem(
+    fn emit_mem(
         &self,
         observer: &mut dyn Observer,
         thread: ThreadId,
@@ -1176,6 +1157,12 @@ impl<'p> Execution<'p> {
 
     /// Executes the instruction at `pc`. `Ok(true)` means the thread exited
     /// normally during this step.
+    ///
+    /// The tree-walker: the reference semantics of every statement. The
+    /// [`ExecEngine::TreeWalk`] engine runs every step here; the bytecode
+    /// engine runs here every [`Op::Fallback`](cil::bytecode::Op::Fallback)
+    /// and every statement its fast pass breaks out of (see
+    /// `Execution::exec_bytecode`), from scratch.
     pub(crate) fn exec_instr(
         &mut self,
         thread: ThreadId,
@@ -1845,8 +1832,8 @@ impl fmt::Debug for Execution<'_> {
 
 impl Drop for Execution<'_> {
     /// Donates this execution's scratch buffers back to the thread-local
-    /// [`scratch`] pools — thread records still shared with a snapshot are
-    /// skipped inside [`scratch::recycle_thread`].
+    /// `scratch` pools — thread records still shared with a snapshot are
+    /// skipped inside `scratch::recycle_thread`.
     fn drop(&mut self) {
         scratch::recycle_values(std::mem::take(&mut self.vm_temps));
         scratch::recycle_caches(std::mem::take(&mut self.field_caches));

@@ -356,7 +356,7 @@ pub fn run_with(
 ///
 /// Each decision scans the thread table once, into one buffer reused for
 /// the whole run, and hands that enabled set to the scheduler. The deadline
-/// is polled every [`DEADLINE_POLL_INTERVAL`] decisions counted from the
+/// is polled every `DEADLINE_POLL_INTERVAL` decisions counted from the
 /// execution's first statement, so an execution resumed after
 /// [`drive_prefix`] polls at the same points as one driven from the start.
 pub fn drive(

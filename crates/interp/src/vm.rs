@@ -4,18 +4,22 @@
 //! [`ExecEngine::Bytecode`]: instead of matching the 26-variant [`Instr`]
 //! enum and recursing through boxed `PureExpr` trees, it executes the flat
 //! micro-op range the [`CodeImage`] compiled for the pc (see
-//! `cil::bytecode` for the format and the fusion/fallback rules). Cold
-//! instructions — synchronization, calls, allocation, exceptions, I/O —
-//! compile to [`Op::Fallback`] and are delegated wholesale to the
-//! tree-walking `exec_instr`, which stays the semantics of record.
+//! `cil::bytecode` for the format and the fusion/fallback rules).
 //!
-//! **Observable equivalence is the contract.** Every compiled head
-//! replicates the tree-walker's order of checks, evaluations, and event
-//! emissions, and reuses its error constructors verbatim, so the two
-//! engines produce identical event streams, identical `Thrown` payloads,
-//! and identical step counts under every schedule. The differential suite
-//! (`tests/engine_differential.rs`) replays recorded Phase-2 schedules on
-//! both engines in lockstep and compares them state by state.
+//! **Two implementations per statement.** The tree-walking `exec_instr`
+//! is the semantics of record. The VM is one fast pass that finishes only
+//! the common case of a statement — integer arithmetic, jumps, branches,
+//! and memory accesses whose receiver is live, whose field is known and
+//! whose index is in bounds, while no observer wants events — and hands
+//! every statement it cannot finish, whole, to `exec_instr`: cold
+//! instructions ([`Op::Fallback`]: synchronization, calls, allocation,
+//! exceptions, I/O), memory accesses under an event-consuming observer,
+//! and every error case. A hand-off has changed nothing observable, so
+//! the two engines produce identical event streams, identical `Thrown`
+//! payloads, and identical step counts under every schedule. The
+//! differential suite (`tests/engine_differential.rs`) replays recorded
+//! Phase-2 schedules on both engines in lockstep and compares them state
+//! by state.
 //!
 //! Three pieces of engine-private state live on the `Execution`:
 //!
@@ -33,10 +37,10 @@ use crate::event::{Access, Loc, Observer};
 use crate::exec::{Execution, Thrown};
 use crate::heap::HeapCell;
 use crate::thread::ThreadState;
-use crate::value::{ObjId, ThreadId, Value};
+use crate::value::{ThreadId, Value};
 use cil::ast::{BinOp, UnOp};
 use cil::bytecode::{CodeImage, Footprint, FootprintIdx, Op, Operand, RValue};
-use cil::flat::{ClassId, Instr, InstrId, LocalId};
+use cil::flat::{ClassId, Instr, InstrId, Program};
 use cil::Symbol;
 use std::sync::Arc;
 
@@ -62,7 +66,7 @@ pub enum ExecEngine {
 pub(crate) const EMPTY_CACHE: (u32, u32) = (u32::MAX, 0);
 
 /// Integer-only binop fast path. Returns `None` for the cases whose result
-/// or error the generic [`Execution::eval_binop`] must produce
+/// or error the tree-walker's `eval_binop` must produce
 /// (division/remainder by zero, boolean connectives on ints), so the slow
 /// path keeps emitting byte-identical `Thrown` messages.
 #[inline]
@@ -85,9 +89,8 @@ fn int_binop(op: BinOp, a: i64, b: i64) -> Option<Value> {
     })
 }
 
-/// Operand read against raw frame/temp slices — the borrow-split twin of
-/// [`Execution::read_operand`] for the fast pass, which holds the frame
-/// mutably and so cannot go through `&self`.
+/// Operand read against raw frame/temp slices: the fast pass holds the
+/// frame mutably, so it cannot go through `&self`.
 #[inline]
 fn fast_operand(locals: &[Value], temps: &[Value], operand: Operand, code: &CodeImage) -> Value {
     match operand {
@@ -116,11 +119,11 @@ fn fast_int(locals: &[Value], temps: &[Value], operand: Operand) -> Option<i64> 
     }
 }
 
-/// Side-effect-free rvalue evaluation over raw slices. `None` means "take
-/// the generic [`Execution::eval_rvalue`] path" — either the value needs
-/// the heap (`Len`), or the case must produce the tree-walker's exact
-/// result or `Thrown` (mixed-type binops, division by zero). Re-evaluating
-/// on the slow path is safe because operand reads are pure.
+/// Side-effect-free rvalue evaluation over raw slices. `None` means "hand
+/// the instruction to the tree-walker" — either the value needs the heap
+/// (`Len`), or the case must produce the tree-walker's exact result or
+/// `Thrown` (mixed-type binops, division by zero). Re-evaluating there is
+/// safe because operand reads are pure.
 #[inline]
 fn fast_rvalue(locals: &[Value], temps: &[Value], rv: &RValue, code: &CodeImage) -> Option<Value> {
     match rv {
@@ -139,16 +142,47 @@ fn fast_rvalue(locals: &[Value], temps: &[Value], rv: &RValue, code: &CodeImage)
     }
 }
 
+/// The slot of `field` in objects of `class`, through the monomorphic
+/// inline cache at `site`: a hit skips the class's field scan, a miss scans
+/// and refills the site. `None` if the class has no such field.
+#[inline]
+fn cached_slot(
+    caches: &mut [(u32, u32)],
+    program: &Program,
+    class: ClassId,
+    field: Symbol,
+    site: u32,
+) -> Option<usize> {
+    let entry = &mut caches[site as usize];
+    if entry.0 != class.0 {
+        let slot = program.classes[class.index()].field_slot(field)?;
+        *entry = (class.0, slot as u32);
+    }
+    Some(entry.1 as usize)
+}
+
 impl<'p> Execution<'p> {
     /// Executes the micro-op range of the instruction at `pc` — the
     /// bytecode twin of `exec_instr`, with identical observable behavior.
     ///
-    /// Frame-pure micro-ops (register arithmetic, jumps, branches) run in
-    /// a fast pass that borrows the scheduled thread's frame **once** —
-    /// one copy-on-write `Arc` check per step instead of one per op — and
-    /// evaluates rvalues over raw slices. The first op that touches the
-    /// heap, emits an event, or needs a slow-path result breaks out to the
-    /// general loop, which resumes at that op having executed none of it.
+    /// One pass borrows the scheduled thread's frame **once** — one
+    /// copy-on-write `Arc` check per step instead of one per op — and runs
+    /// the range over raw slices, finishing only the common case: integer
+    /// and boolean arithmetic, a live receiver, a known field, an index in
+    /// bounds. Anything else — an [`Op::Fallback`], a memory op while the
+    /// observer wants its MEM event, a throwing or heap-reading rvalue, a
+    /// null or mistyped receiver, a missing field, an index out of bounds —
+    /// hands the **whole instruction** to `exec_instr`, the reference
+    /// semantics, which produces the exact events, errors and results.
+    ///
+    /// Re-executing from scratch is sound because nothing the pass did
+    /// before the hand-off is observable: pre-ops ([`Op::Expr`]) write only
+    /// per-step temporaries, and every head breaks before its first write
+    /// to a frame slot, global, heap cell or `effects`. (A head may have
+    /// unshared the thread's or a heap page's copy-on-write storage, which
+    /// changes no contents.) The one thing the pass adds is the inline
+    /// cache: a field access that misses looks the slot up in the class
+    /// layout and refills its site.
     pub(crate) fn exec_bytecode(
         &mut self,
         thread: ThreadId,
@@ -163,13 +197,12 @@ impl<'p> Execution<'p> {
     ) -> Result<bool, Thrown> {
         let next = InstrId(pc.0 + 1);
         let ops = code.ops_of(pc);
-        let mut index = 0;
-        let fast_first = match ops.first() {
+        let fast = match ops.first() {
             Some(
                 Op::Expr { .. } | Op::Assign { .. } | Op::Jump { .. } | Op::Branch { .. } | Op::Nop,
             ) => true,
-            // Memory accesses join the fast pass only when no observer
-            // wants the MEM event they would otherwise emit.
+            // Memory accesses run here only when no observer wants the MEM
+            // event they would otherwise emit.
             Some(
                 Op::LoadGlobal { .. }
                 | Op::StoreGlobal { .. }
@@ -178,20 +211,16 @@ impl<'p> Execution<'p> {
                 | Op::LoadElem { .. }
                 | Op::StoreElem { .. },
             ) => !wants_events,
-            _ => false,
+            Some(Op::Fallback) | None => false,
         };
-        if fast_first {
+        if fast {
             // Split borrows: the frame comes from `self.threads`; temps,
             // globals, the heap, and the field caches are sibling fields,
             // so the frame borrow can stay live across all of them.
-            //
-            // Memory arms handle only the hit case — receiver is a live
-            // ref, inline cache warm, index in bounds — and break to the
-            // general loop for everything else, which re-executes the op
-            // from scratch (every read so far was pure) and produces the
-            // tree-walker's exact errors and cache fills.
+            let program = self.program;
             let state = Arc::make_mut(&mut self.threads[thread.index()]);
             let frame = state.frames.last_mut().expect("live thread has a frame");
+            let mut index = 0;
             while let Some(op) = ops.get(index) {
                 match op {
                     Op::Expr { dst, rv } => {
@@ -216,7 +245,7 @@ impl<'p> Execution<'p> {
                         if_false,
                     } => {
                         // A non-bool condition must throw through `as_bool`
-                        // on the general path.
+                        // in the tree-walker.
                         let Some(Value::Bool(taken)) =
                             fast_rvalue(&frame.locals, &self.vm_temps, rv, code)
                         else {
@@ -244,24 +273,35 @@ impl<'p> Execution<'p> {
                         self.effects += 1;
                         frame.pc = next;
                     }
-                    Op::LoadField { dst, obj, cache, .. } => {
+                    Op::LoadField {
+                        dst,
+                        obj,
+                        field,
+                        cache,
+                    } => {
                         if wants_events {
                             break;
                         }
                         let Value::Ref(target) = frame.locals[obj.index()] else {
                             break;
                         };
-                        let cached = self.field_caches[*cache as usize];
                         let HeapCell::Object { class, fields } = self.heap.cell(target) else {
                             break;
                         };
-                        if cached.0 != class.0 {
+                        let Some(slot) =
+                            cached_slot(&mut self.field_caches, program, *class, *field, *cache)
+                        else {
                             break;
-                        }
-                        frame.locals[dst.index()] = fields[cached.1 as usize].clone();
+                        };
+                        frame.locals[dst.index()] = fields[slot].clone();
                         frame.pc = next;
                     }
-                    Op::StoreField { obj, cache, rv, .. } => {
+                    Op::StoreField {
+                        obj,
+                        field,
+                        cache,
+                        rv,
+                    } => {
                         if wants_events {
                             break;
                         }
@@ -272,18 +312,15 @@ impl<'p> Execution<'p> {
                         let Value::Ref(target) = frame.locals[obj.index()] else {
                             break;
                         };
-                        let cached = self.field_caches[*cache as usize];
-                        // A cold-cache break after `cell_mut` may have
-                        // unshared a copy-on-write heap page; the contents
-                        // are untouched, so it is unobservable.
-                        let HeapCell::Object { class, fields } = self.heap.cell_mut(target)
+                        let HeapCell::Object { class, fields } = self.heap.cell_mut(target) else {
+                            break;
+                        };
+                        let Some(slot) =
+                            cached_slot(&mut self.field_caches, program, *class, *field, *cache)
                         else {
                             break;
                         };
-                        if cached.0 != class.0 {
-                            break;
-                        }
-                        fields[cached.1 as usize] = value;
+                        fields[slot] = value;
                         self.effects += 1;
                         frame.pc = next;
                     }
@@ -334,7 +371,7 @@ impl<'p> Execution<'p> {
                         self.effects += 1;
                         frame.pc = next;
                     }
-                    _ => break,
+                    Op::Fallback => break,
                 }
                 index += 1;
             }
@@ -342,497 +379,7 @@ impl<'p> Execution<'p> {
                 return Ok(false);
             }
         }
-        for op in &ops[index..] {
-            match op {
-                Op::Expr { dst, rv } => {
-                    let value = self.eval_rvalue(thread, rv, code, pc)?;
-                    self.vm_temps[*dst as usize] = value;
-                }
-                Op::Assign { dst, rv } => {
-                    let value = self.eval_rvalue(thread, rv, code, pc)?;
-                    let frame = self.thread_mut(thread).frame_mut();
-                    frame.locals[dst.index()] = value;
-                    frame.pc = next;
-                }
-                Op::LoadGlobal { dst, global } => {
-                    let value = self.globals[global.index()].clone();
-                    if wants_events {
-                        self.emit_mem(observer, thread, pc, Loc::Global(*global), false);
-                    }
-                    let frame = self.thread_mut(thread).frame_mut();
-                    frame.locals[dst.index()] = value;
-                    frame.pc = next;
-                }
-                Op::StoreGlobal { global, rv } => {
-                    let value = self.eval_rvalue(thread, rv, code, pc)?;
-                    if wants_events {
-                        self.emit_mem(observer, thread, pc, Loc::Global(*global), true);
-                    }
-                    self.globals[global.index()] = value;
-                    self.effects += 1;
-                    self.thread_mut(thread).frame_mut().pc = next;
-                }
-                Op::LoadField {
-                    dst,
-                    obj,
-                    field,
-                    cache,
-                } => {
-                    let target =
-                        self.as_ref(self.local_ref(thread, *obj), "field receiver", pc)?;
-                    // One heap access resolves the cell, the cache probe,
-                    // and the value read together; fetching the value
-                    // before the MEM event is unobservable (the read is
-                    // pure and all checks have already passed).
-                    let value = match self.heap.cell(target) {
-                        HeapCell::Object { class, fields } => {
-                            let cached = self.field_caches[*cache as usize];
-                            if cached.0 == class.0 {
-                                fields[cached.1 as usize].clone()
-                            } else {
-                                match self.program.classes[class.index()].field_slot(*field) {
-                                    Some(slot) => {
-                                        let value = fields[slot].clone();
-                                        self.field_caches[*cache as usize] =
-                                            (class.0, slot as u32);
-                                        value
-                                    }
-                                    None => return Err(self.missing_field(*class, *field, pc)),
-                                }
-                            }
-                        }
-                        HeapCell::Array { .. } => {
-                            return Err(self.throw(
-                                self.program.builtins.type_error,
-                                "field access on an array",
-                                pc,
-                            ));
-                        }
-                    };
-                    if wants_events {
-                        self.emit_mem(observer, thread, pc, Loc::Field(target, *field), false);
-                    }
-                    let frame = self.thread_mut(thread).frame_mut();
-                    frame.locals[dst.index()] = value;
-                    frame.pc = next;
-                }
-                Op::StoreField {
-                    obj,
-                    field,
-                    cache,
-                    rv,
-                } => {
-                    let target =
-                        self.as_ref(self.local_ref(thread, *obj), "field receiver", pc)?;
-                    if wants_events {
-                        let slot = self.cached_field_slot(target, *field, *cache, pc)?;
-                        let value = self.eval_rvalue(thread, rv, code, pc)?;
-                        self.emit_mem(observer, thread, pc, Loc::Field(target, *field), true);
-                        match self.heap.cell_mut(target) {
-                            HeapCell::Object { fields, .. } => fields[slot] = value,
-                            HeapCell::Array { .. } => unreachable!("cache checked object"),
-                        }
-                    } else {
-                        // No event to emit, so the cache probe and the write
-                        // share one mutable heap access. A pure rvalue
-                        // commutes with field resolution (no side effects,
-                        // no error), so evaluating it first is unobservable;
-                        // an impure one falls back to the tree-walker's
-                        // resolve-then-evaluate error order.
-                        let value = match fast_rvalue(
-                            &self.threads[thread.index()].frame().locals,
-                            &self.vm_temps,
-                            rv,
-                            code,
-                        ) {
-                            Some(value) => value,
-                            None => {
-                                self.cached_field_slot(target, *field, *cache, pc)?;
-                                self.eval_rvalue(thread, rv, code, pc)?
-                            }
-                        };
-                        let cached = self.field_caches[*cache as usize];
-                        // `Ok(())` wrote; `Err(Some(class))` is a missing
-                        // field; `Err(None)` an array receiver. Errors are
-                        // built after the heap borrow ends.
-                        let wrote = match self.heap.cell_mut(target) {
-                            HeapCell::Object { class, fields } => {
-                                if cached.0 == class.0 {
-                                    fields[cached.1 as usize] = value;
-                                    Ok(())
-                                } else {
-                                    match self.program.classes[class.index()].field_slot(*field)
-                                    {
-                                        Some(slot) => {
-                                            fields[slot] = value;
-                                            self.field_caches[*cache as usize] =
-                                                (class.0, slot as u32);
-                                            Ok(())
-                                        }
-                                        None => Err(Some(*class)),
-                                    }
-                                }
-                            }
-                            HeapCell::Array { .. } => Err(None),
-                        };
-                        match wrote {
-                            Ok(()) => {}
-                            Err(Some(class)) => {
-                                return Err(self.missing_field(class, *field, pc));
-                            }
-                            Err(None) => {
-                                return Err(self.throw(
-                                    self.program.builtins.type_error,
-                                    "field access on an array",
-                                    pc,
-                                ));
-                            }
-                        }
-                    }
-                    self.effects += 1;
-                    self.thread_mut(thread).frame_mut().pc = next;
-                }
-                Op::LoadElem { dst, arr, idx } => {
-                    // One heap access covers the array check, the bounds
-                    // check, and the read when the index evaluates purely to
-                    // an int; otherwise (or when emitting events, which the
-                    // resolved location precedes) the two-access resolver
-                    // path keeps the tree-walker's error order.
-                    let fast_index = if wants_events {
-                        None
-                    } else {
-                        match fast_rvalue(
-                            &self.threads[thread.index()].frame().locals,
-                            &self.vm_temps,
-                            idx,
-                            code,
-                        ) {
-                            Some(Value::Int(index)) => Some(index),
-                            _ => None,
-                        }
-                    };
-                    let value = match fast_index {
-                        Some(index) => {
-                            let target =
-                                self.as_ref(self.local_ref(thread, *arr), "array", pc)?;
-                            match self.heap.cell(target) {
-                                HeapCell::Array { elems }
-                                    if index >= 0 && (index as usize) < elems.len() =>
-                                {
-                                    elems[index as usize].clone()
-                                }
-                                HeapCell::Array { elems } => {
-                                    let len = elems.len();
-                                    return Err(self.throw(
-                                        self.program.builtins.index_out_of_bounds,
-                                        format!("index {index} out of bounds for length {len}"),
-                                        pc,
-                                    ));
-                                }
-                                HeapCell::Object { .. } => {
-                                    return Err(self.throw(
-                                        self.program.builtins.type_error,
-                                        "indexing a non-array",
-                                        pc,
-                                    ));
-                                }
-                            }
-                        }
-                        None => {
-                            let (target, index) =
-                                self.vm_resolve_elem(thread, *arr, idx, code, pc)?;
-                            if wants_events {
-                                self.emit_mem(
-                                    observer,
-                                    thread,
-                                    pc,
-                                    Loc::Elem(target, index),
-                                    false,
-                                );
-                            }
-                            match self.heap.cell(target) {
-                                HeapCell::Array { elems } => elems[index as usize].clone(),
-                                HeapCell::Object { .. } => unreachable!("resolve checked array"),
-                            }
-                        }
-                    };
-                    let frame = self.thread_mut(thread).frame_mut();
-                    frame.locals[dst.index()] = value;
-                    frame.pc = next;
-                }
-                Op::StoreElem { arr, idx, rv } => {
-                    // As with `StoreField`: pure index and value evaluations
-                    // commute with the array/bounds checks, so the eventless
-                    // path folds check and write into one mutable heap
-                    // access.
-                    let fast = if wants_events {
-                        None
-                    } else {
-                        let locals = &self.threads[thread.index()].frame().locals;
-                        match fast_rvalue(locals, &self.vm_temps, idx, code) {
-                            Some(Value::Int(index)) => {
-                                fast_rvalue(locals, &self.vm_temps, rv, code)
-                                    .map(|value| (index, value))
-                            }
-                            _ => None,
-                        }
-                    };
-                    match fast {
-                        Some((index, value)) => {
-                            let target =
-                                self.as_ref(self.local_ref(thread, *arr), "array", pc)?;
-                            // `Err(Some(len))` is out of bounds; `Err(None)`
-                            // a non-array receiver.
-                            let wrote = match self.heap.cell_mut(target) {
-                                HeapCell::Array { elems } => {
-                                    if index >= 0 && (index as usize) < elems.len() {
-                                        elems[index as usize] = value;
-                                        Ok(())
-                                    } else {
-                                        Err(Some(elems.len()))
-                                    }
-                                }
-                                HeapCell::Object { .. } => Err(None),
-                            };
-                            match wrote {
-                                Ok(()) => {}
-                                Err(Some(len)) => {
-                                    return Err(self.throw(
-                                        self.program.builtins.index_out_of_bounds,
-                                        format!("index {index} out of bounds for length {len}"),
-                                        pc,
-                                    ));
-                                }
-                                Err(None) => {
-                                    return Err(self.throw(
-                                        self.program.builtins.type_error,
-                                        "indexing a non-array",
-                                        pc,
-                                    ));
-                                }
-                            }
-                        }
-                        None => {
-                            let (target, index) =
-                                self.vm_resolve_elem(thread, *arr, idx, code, pc)?;
-                            let value = self.eval_rvalue(thread, rv, code, pc)?;
-                            if wants_events {
-                                self.emit_mem(
-                                    observer,
-                                    thread,
-                                    pc,
-                                    Loc::Elem(target, index),
-                                    true,
-                                );
-                            }
-                            match self.heap.cell_mut(target) {
-                                HeapCell::Array { elems } => elems[index as usize] = value,
-                                HeapCell::Object { .. } => unreachable!("resolve checked array"),
-                            }
-                        }
-                    }
-                    self.effects += 1;
-                    self.thread_mut(thread).frame_mut().pc = next;
-                }
-                Op::Jump { target } => {
-                    self.thread_mut(thread).frame_mut().pc = *target;
-                }
-                Op::Branch {
-                    rv,
-                    if_true,
-                    if_false,
-                } => {
-                    let value = self.eval_rvalue(thread, rv, code, pc)?;
-                    let taken = self.as_bool(value, pc)?;
-                    self.thread_mut(thread).frame_mut().pc =
-                        if taken { *if_true } else { *if_false };
-                }
-                Op::Nop => {
-                    self.thread_mut(thread).frame_mut().pc = next;
-                }
-                // Always the sole op of its range (the compiler guarantees
-                // it), so delegating the whole instruction re-executes
-                // nothing.
-                Op::Fallback => return self.exec_instr(thread, pc, observer),
-            }
-        }
-        Ok(false)
-    }
-
-    /// Evaluates a head-carried [`RValue`] against the live frame. Operand
-    /// reads are side-effect-free; the combining node reuses the
-    /// tree-walker's operators (and error texts) after an integer fast
-    /// path.
-    fn eval_rvalue(
-        &self,
-        thread: ThreadId,
-        rv: &RValue,
-        code: &CodeImage,
-        at: InstrId,
-    ) -> Result<Value, Thrown> {
-        let locals = &self.threads[thread.index()].frame().locals;
-        match rv {
-            RValue::Op(operand) => Ok(self.read_operand(locals, *operand, code)),
-            RValue::Bin(op, lhs, rhs) => {
-                if let (Some(a), Some(b)) =
-                    (self.read_int(locals, *lhs), self.read_int(locals, *rhs))
-                {
-                    if let Some(value) = int_binop(*op, a, b) {
-                        return Ok(value);
-                    }
-                }
-                let left = self.read_operand(locals, *lhs, code);
-                let right = self.read_operand(locals, *rhs, code);
-                self.eval_binop(*op, left, right, at)
-            }
-            RValue::Un(op, operand) => {
-                use cil::ast::UnOp;
-                let value = self.read_operand(locals, *operand, code);
-                match (op, value) {
-                    (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(n.wrapping_neg())),
-                    (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                    (op, value) => Err(self.throw(
-                        self.program.builtins.type_error,
-                        format!("cannot apply `{op}` to {}", value.type_name()),
-                        at,
-                    )),
-                }
-            }
-            RValue::Len(operand) => {
-                let builtins = &self.program.builtins;
-                match self.read_operand(locals, *operand, code) {
-                    Value::Ref(obj) => match self.heap.array_len(obj) {
-                        Some(len) => Ok(Value::Int(len as i64)),
-                        None => Err(self.throw(builtins.type_error, "len() of a non-array", at)),
-                    },
-                    Value::Null => Err(self.throw(builtins.null_pointer, "len() of null", at)),
-                    other => Err(self.throw(
-                        builtins.type_error,
-                        format!("len() of {}", other.type_name()),
-                        at,
-                    )),
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn read_operand(&self, locals: &[Value], operand: Operand, code: &CodeImage) -> Value {
-        match operand {
-            Operand::Local(slot) => locals[slot as usize].clone(),
-            Operand::Temp(slot) => self.vm_temps[slot as usize].clone(),
-            Operand::Int(value) => Value::Int(value),
-            Operand::Bool(value) => Value::Bool(value),
-            Operand::Null => Value::Null,
-            Operand::Pool(index) => Value::from(code.pool_const(index)),
-        }
-    }
-
-    /// Reads an operand as an integer without cloning, for the binop fast
-    /// path. `None` means "not statically an int here" — fall through to
-    /// the generic evaluator.
-    #[inline]
-    fn read_int(&self, locals: &[Value], operand: Operand) -> Option<i64> {
-        match operand {
-            Operand::Int(value) => Some(value),
-            Operand::Local(slot) => match locals[slot as usize] {
-                Value::Int(value) => Some(value),
-                _ => None,
-            },
-            Operand::Temp(slot) => match self.vm_temps[slot as usize] {
-                Value::Int(value) => Some(value),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// The tree-walker's exact "no such field" error (kept out of line so
-    /// both the fused `LoadField` arm and [`Execution::cached_field_slot`]
-    /// produce identical `Thrown` payloads).
-    #[cold]
-    fn missing_field(&self, class: ClassId, field: Symbol, pc: InstrId) -> Thrown {
-        self.throw(
-            self.program.builtins.type_error,
-            format!(
-                "class `{}` has no field `{}`",
-                self.program.name(self.program.classes[class.index()].name),
-                self.program.name(field)
-            ),
-            pc,
-        )
-    }
-
-    /// Field-slot lookup through the monomorphic inline cache. On a hit
-    /// (same class id as last time at this site) the linear field scan is
-    /// skipped entirely; on a miss the scan runs and the site is refilled.
-    /// Error cases replicate the tree-walker's `field_slot` verbatim.
-    fn cached_field_slot(
-        &mut self,
-        target: ObjId,
-        field: Symbol,
-        site: u32,
-        pc: InstrId,
-    ) -> Result<usize, Thrown> {
-        match self.heap.cell(target) {
-            HeapCell::Object { class, .. } => {
-                let class = *class;
-                let cached = self.field_caches[site as usize];
-                if cached.0 == class.0 {
-                    return Ok(cached.1 as usize);
-                }
-                match self.program.classes[class.index()].field_slot(field) {
-                    Some(slot) => {
-                        self.field_caches[site as usize] = (class.0, slot as u32);
-                        Ok(slot)
-                    }
-                    None => Err(self.missing_field(class, field, pc)),
-                }
-            }
-            HeapCell::Array { .. } => Err(self.throw(
-                self.program.builtins.type_error,
-                "field access on an array",
-                pc,
-            )),
-        }
-    }
-
-    /// The bytecode twin of `resolve_elem`: array check, then index
-    /// evaluation, then bounds check — same order, same error texts.
-    fn vm_resolve_elem(
-        &self,
-        thread: ThreadId,
-        arr: LocalId,
-        idx: &RValue,
-        code: &CodeImage,
-        pc: InstrId,
-    ) -> Result<(ObjId, u32), Thrown> {
-        let target = self.as_ref(self.local_ref(thread, arr), "array", pc)?;
-        let Some(len) = self.heap.array_len(target) else {
-            return Err(self.throw(
-                self.program.builtins.type_error,
-                "indexing a non-array",
-                pc,
-            ));
-        };
-        let index = match self.eval_rvalue(thread, idx, code, pc)? {
-            Value::Int(index) => index,
-            other => {
-                return Err(self.throw(
-                    self.program.builtins.type_error,
-                    format!("array index is {}", other.type_name()),
-                    pc,
-                ));
-            }
-        };
-        if index < 0 || index as usize >= len {
-            return Err(self.throw(
-                self.program.builtins.index_out_of_bounds,
-                format!("index {index} out of bounds for length {len}"),
-                pc,
-            ));
-        }
-        Ok((target, index as u32))
+        self.exec_instr(thread, pc, observer)
     }
 
     /// `next_access` via the footprint table: a per-pc tag plus at most a
@@ -1068,6 +615,86 @@ mod tests {
         assert!(
             exec.field_caches.iter().any(|entry| *entry != EMPTY_CACHE),
             "hot field sites must have filled their caches"
+        );
+    }
+
+    #[test]
+    fn inline_cache_refills_track_the_tree_walk_in_lockstep() {
+        // One `o.n` load site and one store site see objects of two
+        // classes whose `n` sits at different slots, then — at the same,
+        // now warm, sites — an object without `n` and an array. A miss
+        // must refill the site with the new class's slot; the last two
+        // must leave the fast pass and throw from the tree-walker.
+        let program = cil::compile(
+            r#"
+            class A { n }
+            class B { pad, n }
+            class C { pad }
+            global objs;
+            proc main() {
+                var a = new A;
+                a.n = 1;
+                var b = new B;
+                b.pad = 7;
+                b.n = 2;
+                var c = new C;
+                c.pad = 9;
+                objs = new [5];
+                var arr = objs;
+                arr[0] = a;
+                arr[1] = b;
+                arr[2] = a;
+                arr[3] = c;
+                arr[4] = arr;
+                var i = 0;
+                while (i < 5) {
+                    var o = arr[i];
+                    try {
+                        var v = o.n;
+                        o.n = v + 10;
+                        print v;
+                    } catch (TypeError) {
+                        print "type";
+                    }
+                    i = i + 1;
+                }
+                print a.n;
+                print b.pad;
+                print b.n;
+            }
+            "#,
+        )
+        .unwrap();
+        fn lockstep<O: Observer + Default>(program: &cil::Program) -> (O, O) {
+            let mut bytecode = Execution::new(program, "main").unwrap();
+            let mut tree = Execution::new(program, "main").unwrap();
+            tree.set_engine(ExecEngine::TreeWalk);
+            let (mut bytecode_observer, mut tree_observer) = (O::default(), O::default());
+            while let Some(&thread) = tree.enabled().first() {
+                assert_eq!(bytecode.next_access(thread), tree.next_access(thread));
+                assert_eq!(
+                    bytecode.step(thread, &mut bytecode_observer),
+                    tree.step(thread, &mut tree_observer),
+                    "step {} diverged",
+                    tree.steps()
+                );
+            }
+            assert!(bytecode.enabled().is_empty());
+            assert_eq!(bytecode.steps(), tree.steps());
+            assert_eq!(bytecode.uncaught(), tree.uncaught());
+            assert_eq!(bytecode.output(), tree.output());
+            assert_eq!(
+                tree.output(),
+                ["1", "2", "11", "type", "type", "21", "7", "12"]
+            );
+            (bytecode_observer, tree_observer)
+        }
+        lockstep::<NullObserver>(&program);
+        let (bytecode, tree) = lockstep::<RecordingObserver>(&program);
+        assert_eq!(
+            format!("{:?}", bytecode.events),
+            format!("{:?}", tree.events),
+            "event streams must be identical"
         );
     }
 

@@ -27,7 +27,7 @@
 //! The monitor's windows are where Phase 2 spends its time: a peer of the
 //! postponed thread spins for up to `postpone_limit` decisions, usually
 //! without changing anything another thread reads. The loop finds each
-//! spinning thread's cycle of decisions ([`crate::spin`]) and then replays
+//! spinning thread's cycle of decisions (the `spin` module) and then replays
 //! whole decisions from those tables at the top of the loop — the same
 //! candidate sets, the same `Rng::below` draws, the same step and decision
 //! counts — without interpreting them. It stops before any decision the

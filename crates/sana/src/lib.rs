@@ -1,11 +1,11 @@
-//! Static pre-analysis over the lowered CIL [`Program`].
+//! Static pre-analysis over the lowered CIL [`Program`](cil::Program).
 //!
 //! RaceFuzzer's Phase 1 is deliberately imprecise: every candidate pair it
 //! reports costs a full Phase-2 re-execution. This crate statically
 //! discharges candidate pairs that *cannot* race in any execution, before
 //! the schedulers spend trials on them:
 //!
-//! - [`cfg`] — per-procedure control-flow graphs with exceptional edges;
+//! - [`cfg`](mod@cfg) — per-procedure control-flow graphs with exceptional edges;
 //! - [`callgraph`] — interprocedural call/spawn graph and execution counts;
 //! - [`mhp`] — spawn/join-structure may-happen-in-parallel analysis;
 //! - [`points_to`] — Andersen-style interprocedural points-to analysis over

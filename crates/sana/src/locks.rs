@@ -19,7 +19,7 @@
 //!   of its call sites' in-states.
 //!
 //! A must-held site proves two accesses *commonly locked* only when the
-//! site allocates at most once per run ([`ExecCount::One`]) — otherwise
+//! site allocates at most once per run ([`ExecCount::One`](crate::callgraph::ExecCount::One)) — otherwise
 //! "an object from site `a`" names different runtime locks in different
 //! threads. That stability check lives in the filter, not here.
 //!

@@ -5,13 +5,13 @@
 //! dynamically by `CodeImage`'s footprint table and statically by an ad-hoc
 //! `Instr` match inside the filter. The static copy is gone; these tests
 //! keep an inlined replica of it as the *oracle* and assert the footprint
-//! view ([`CodeImage::accesses_of`]) is a superset of it — every access the
-//! legacy extractor reported is present with the same place and write bit —
-//! over randomly generated programs mixing every access shape (globals,
-//! fields, constant/register/compound element indices, fused and fallback
-//! lowerings) and over the full workload suite.
+//! view ([`cil::bytecode::CodeImage::accesses_of`]) is a superset of it —
+//! every access the legacy extractor reported is present with the same
+//! place and write bit — over randomly generated programs mixing every
+//! access shape (globals, fields, constant/register/compound element
+//! indices, fused and fallback lowerings) and over the full workload suite.
 
-use cil::bytecode::{AbstractPlace, CodeImage, FootprintIdx};
+use cil::bytecode::{AbstractPlace, FootprintIdx};
 use cil::flat::{GlobalId, Instr, InstrId, LocalId};
 use cil::intern::Symbol;
 use cil::Program;
@@ -93,17 +93,6 @@ fn assert_superset(name: &str, program: &Program) {
                 );
             }
         }
-    }
-    // Fused and unfused lowerings agree on the access sets (the view is a
-    // property of the instruction, not of the op encoding).
-    let unfused = CodeImage::compile_unfused(program);
-    for index in 0..program.instr_count() {
-        let pc = InstrId(index as u32);
-        assert_eq!(
-            image.accesses_of(pc),
-            unfused.accesses_of(pc),
-            "{name}: fused/unfused access sets diverge at {pc:?}"
-        );
     }
 }
 

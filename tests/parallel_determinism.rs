@@ -8,6 +8,7 @@
 //! including one (7) that does not divide any trial count evenly, against
 //! a baseline folded trial by trial outside the pool.
 
+use detector::{Policy, PredictConfig};
 use racefuzzer::{
     analyze, fuzz_pair_once, gather_candidates, AnalysisReport, AnalyzeOptions, FuzzConfig,
     PairReport,
@@ -79,17 +80,36 @@ fn worker_count_does_not_change_any_report() {
 
 #[test]
 fn pruning_keeps_slots_aligned_under_parallelism() {
-    // The static filter empties some slots; the parallel dispatcher must
-    // put each fuzzed report back into the slot of its own pair.
-    let program = workloads::figure1();
-    let sequential =
-        analyze(&program, "main", &options(1)).expect("sequential analysis succeeds");
-    let parallel = analyze(&program, "main", &options(4)).expect("parallel analysis succeeds");
-    assert_eq!(sequential.potential, parallel.potential);
-    for (seq, par) in sequential.pairs.iter().zip(&parallel.pairs) {
-        assert_eq!(seq.target, par.target);
-        assert_eq!(seq.trials, par.trials);
-        assert_eq!(seq.hits, par.hits);
-        assert_eq!(seq.first_hit_seed, par.first_hit_seed);
+    // Under the lockset policy the static filter empties most of SOR's
+    // slots; the pool must put each fuzzed report back into the slot of
+    // its own pair, whatever the worker count.
+    let workload = workloads::sor();
+    let pruning = |workers| {
+        let options = AnalyzeOptions {
+            predict: PredictConfig {
+                policy: Policy::Lockset,
+                ..PredictConfig::default()
+            },
+            static_prune: true,
+            ..options(workers)
+        };
+        analyze(&workload.program, workload.entry, &options).expect("analysis succeeds")
+    };
+    let sequential = pruning(1);
+    assert!(
+        !sequential.pruned.is_empty(),
+        "the static filter must prune some slots for this test to check anything"
+    );
+    assert!(
+        sequential.pairs.iter().any(|pair| pair.trials > 0),
+        "some slots must be fuzzed"
+    );
+    let expected = render(&sequential);
+    for workers in [2, 4, 7] {
+        assert_eq!(
+            render(&pruning(workers)),
+            expected,
+            "{workers} workers diverged from one"
+        );
     }
 }
