@@ -98,9 +98,17 @@ fn bench_workload(c: &mut Criterion, workload: &Workload, pair_tags: Option<(&st
 }
 
 fn benches(c: &mut Criterion) {
-    bench_workload(c, &workloads::raytracer(), Some(("checksum_rmw", "checksum_rmw")));
+    bench_workload(
+        c,
+        &workloads::raytracer(),
+        Some(("checksum_rmw", "checksum_rmw")),
+    );
     bench_workload(c, &workloads::cache4j(), Some(("sleep_set", "sleep_check")));
-    bench_workload(c, &workloads::vector(), Some(("vec_size_read", "vec_size_read")));
+    bench_workload(
+        c,
+        &workloads::vector(),
+        Some(("vec_size_read", "vec_size_read")),
+    );
     bench_workload(c, &workloads::sor(), Some(("aw0", "br0")));
 
     // A compute-heavy two-thread kernel to expose the per-access tracing

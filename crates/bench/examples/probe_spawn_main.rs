@@ -27,6 +27,10 @@ fn main() {
     };
     let report = racefuzzer::analyze(&program, "main", &options).expect("analysis runs");
     for real in report.real_races() {
-        println!("confirmed: {} refuted_as={:?}", real.describe(&program), filter.refute(&program, &real));
+        println!(
+            "confirmed: {} refuted_as={:?}",
+            real.describe(&program),
+            filter.refute(&program, &real)
+        );
     }
 }

@@ -47,7 +47,10 @@ fn precision_ablation() {
     let pair = RacePair::new(write, write);
 
     let mut table = TextTable::new(["racing check", "trials", "reported races", "verdict"]);
-    for (label, precise) in [("location-precise (paper)", true), ("statement-only", false)] {
+    for (label, precise) in [
+        ("location-precise (paper)", true),
+        ("statement-only", false),
+    ] {
         let mut reported = 0;
         let trials = 100;
         for seed in 0..trials {
@@ -84,10 +87,7 @@ fn precision_ablation() {
 fn eviction_ablation() {
     println!("Ablation 2 — livelock-monitor eviction limit (figure-2, pad=100)\n");
     let program = workloads::figure2(100);
-    let pair = RacePair::new(
-        program.tagged_access("s8"),
-        program.tagged_access("s10"),
-    );
+    let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
     let mut table = TextTable::new(["postpone_limit", "P(race)", "mean steps"]);
     for limit in [1u64, 5, 50, 500, 5_000] {
         let trials = 200u64;

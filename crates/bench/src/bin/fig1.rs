@@ -12,9 +12,12 @@ fn main() {
     let program = workloads::figure1();
     println!("Figure 1 — the example program with a real race (paper §3.1)\n");
 
-    let races = predict_races(&program, "main", &PredictConfig::with_runs(30))
-        .expect("prediction runs");
-    println!("Phase 1 (hybrid detection) predicted {} pairs:", races.len());
+    let races =
+        predict_races(&program, "main", &PredictConfig::with_runs(30)).expect("prediction runs");
+    println!(
+        "Phase 1 (hybrid detection) predicted {} pairs:",
+        races.len()
+    );
     for pair in &races {
         println!("  {}", pair.describe(&program));
     }
@@ -61,8 +64,7 @@ fn main() {
     if let Ok(report) = fuzz_pair(&program, "main", z_pair, 100, 1, &FuzzConfig::default()) {
         if let Some(seed) = report.first_exception_seed {
             println!("replay the ERROR1 execution with seed {seed}:");
-            let outcome =
-                racefuzzer::replay(&program, "main", z_pair, seed).expect("replay runs");
+            let outcome = racefuzzer::replay(&program, "main", z_pair, seed).expect("replay runs");
             println!(
                 "  races created: {}, uncaught: {:?}, steps: {}",
                 outcome.races.len(),

@@ -36,10 +36,7 @@ fn main() {
 
     for pad in [0usize, 1, 2, 5, 10, 20, 50, 100, 200] {
         let program = workloads::figure2(pad);
-        let pair = RacePair::new(
-            program.tagged_access("s8"),
-            program.tagged_access("s10"),
-        );
+        let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
 
         // RaceFuzzer series.
         let mut rf_hits = 0u64;

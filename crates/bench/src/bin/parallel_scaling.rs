@@ -19,9 +19,7 @@
 
 use campaign::json::Json;
 use detector::RacePair;
-use racefuzzer::{
-    fuzz_pair_once_cached, EntryCache, FuzzConfig, PairCache, SnapshotOptions,
-};
+use racefuzzer::{fuzz_pair_once_cached, EntryCache, FuzzConfig, PairCache, SnapshotOptions};
 use rf_bench::{peak_rss_kib, TextTable};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -108,9 +106,14 @@ fn run_trials(
     let mut hits = 0;
     let mut errors = 0;
     for seed in seeds {
-        let outcome =
-            fuzz_pair_once_cached(program, "main", pair, &FuzzConfig::seeded(seed), Some(cache))
-                .expect("fuzz runs");
+        let outcome = fuzz_pair_once_cached(
+            program,
+            "main",
+            pair,
+            &FuzzConfig::seeded(seed),
+            Some(cache),
+        )
+        .expect("fuzz runs");
         hits += u64::from(outcome.race_created());
         errors += u64::from(!outcome.uncaught.is_empty());
     }
@@ -166,7 +169,13 @@ fn main() -> ExitCode {
         .map(|n| n.get())
         .unwrap_or(1);
     let mut table = TextTable::new([
-        "workers", "wall time", "trials/s", "speedup", "P(race)", "snap hits", "peak RSS",
+        "workers",
+        "wall time",
+        "trials/s",
+        "speedup",
+        "P(race)",
+        "snap hits",
+        "peak RSS",
     ]);
     let mut measurements: Vec<Measurement> = Vec::new();
     let mut baseline = None;

@@ -148,7 +148,10 @@ fn measure(workload: &Workload, trials: usize) -> Measurement {
         .iter()
         .flat_map(|pair| pair.real_pairs.iter().copied())
         .collect();
-    let confirmed: BTreeSet<_> = dynamic_confirmed.union(&static_confirmed).copied().collect();
+    let confirmed: BTreeSet<_> = dynamic_confirmed
+        .union(&static_confirmed)
+        .copied()
+        .collect();
 
     let confirmed_statics = report
         .candidates
@@ -255,9 +258,7 @@ fn main() -> ExitCode {
 
     if args.check {
         if !full_recall {
-            eprintln!(
-                "FAIL: static generator missed {total_missed} dynamically confirmed race(s)"
-            );
+            eprintln!("FAIL: static generator missed {total_missed} dynamically confirmed race(s)");
             for m in &measurements {
                 for miss in &m.missed {
                     eprintln!("  {}: {miss}", m.workload);

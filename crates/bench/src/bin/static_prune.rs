@@ -103,7 +103,10 @@ impl Measurement {
             ("pruned_mhp_impossible", Json::usize(self.pruned_mhp)),
             ("pruned_common_lock", Json::usize(self.pruned_common_lock)),
             ("pruned_thread_confined", Json::usize(self.pruned_confined)),
-            ("pruned_footprint_no_alias", Json::usize(self.pruned_footprint)),
+            (
+                "pruned_footprint_no_alias",
+                Json::usize(self.pruned_footprint),
+            ),
             ("phase2_pairs", Json::usize(self.kept)),
             ("wall_ms_without_filter", Json::u64(self.baseline_ms as u64)),
             ("wall_ms_with_filter", Json::u64(self.filtered_ms as u64)),
@@ -191,8 +194,8 @@ fn main() -> ExitCode {
     }
 
     let mut table = TextTable::new([
-        "workload", "policy", "phase1", "mhp", "lock", "confined", "fprint", "phase2",
-        "base ms", "filt ms",
+        "workload", "policy", "phase1", "mhp", "lock", "confined", "fprint", "phase2", "base ms",
+        "filt ms",
     ]);
     for m in &measurements {
         table.row([
@@ -247,10 +250,7 @@ fn main() -> ExitCode {
                 ),
                 ("hybrid_candidates", Json::usize(hybrid_candidates)),
                 ("hybrid_pruned", Json::usize(hybrid_pruned)),
-                (
-                    "confirmed_race_regressions",
-                    Json::usize(total_regressions),
-                ),
+                ("confirmed_race_regressions", Json::usize(total_regressions)),
             ]),
         ),
         (

@@ -95,13 +95,8 @@ fn measure(workload: &Workload, trials: usize) -> [String; 11] {
     // plain run when nothing was predicted).
     let rf_time = match report.potential.first().copied() {
         Some(pair) => time_mean(5, || {
-            racefuzzer::fuzz_pair_once(
-                program,
-                workload.entry,
-                pair,
-                &options.fuzz,
-            )
-            .expect("fuzz runs");
+            racefuzzer::fuzz_pair_once(program, workload.entry, pair, &options.fuzz)
+                .expect("fuzz runs");
         }),
         None => normal,
     };
@@ -126,11 +121,7 @@ fn measure(workload: &Workload, trials: usize) -> [String; 11] {
             .unwrap_or_else(|| "-".to_string()),
         format!("{}/{}", paper.rf_exceptions, exception_pairs),
         format!("{}/{}", paper.simple_exceptions, simple_count),
-        format!(
-            "{}/{}",
-            fmt_prob(paper.probability),
-            fmt_prob(probability)
-        ),
+        format!("{}/{}", fmt_prob(paper.probability), fmt_prob(probability)),
     ]
 }
 
@@ -158,7 +149,11 @@ fn main() {
 
     for workload in workloads::all() {
         if let Some(filter) = &args.filter {
-            if !workload.name.to_lowercase().contains(&filter.to_lowercase()) {
+            if !workload
+                .name
+                .to_lowercase()
+                .contains(&filter.to_lowercase())
+            {
                 continue;
             }
         }
@@ -184,7 +179,11 @@ fn main() {
     let mut detail = TextTable::new(["Program", "potential pairs (first runs)"]);
     for workload in workloads::all() {
         if let Some(filter) = &args.filter {
-            if !workload.name.to_lowercase().contains(&filter.to_lowercase()) {
+            if !workload
+                .name
+                .to_lowercase()
+                .contains(&filter.to_lowercase())
+            {
                 continue;
             }
         }

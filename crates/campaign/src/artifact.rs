@@ -143,12 +143,8 @@ impl FailureKind {
             "panic" => Some(FailureKind::Panic(message.unwrap_or("").to_owned())),
             "step_budget" => Some(FailureKind::StepBudget),
             "deadline" => Some(FailureKind::Deadline),
-            "engine_error" => Some(FailureKind::EngineError(
-                message.unwrap_or("").to_owned(),
-            )),
-            "worker_loss" => Some(FailureKind::WorkerLoss(
-                message.unwrap_or("").to_owned(),
-            )),
+            "engine_error" => Some(FailureKind::EngineError(message.unwrap_or("").to_owned())),
+            "worker_loss" => Some(FailureKind::WorkerLoss(message.unwrap_or("").to_owned())),
             _ => None,
         }
     }
@@ -239,7 +235,10 @@ impl FailureArtifact {
             ("format_version", Json::u64(FORMAT_VERSION)),
             ("job", Json::str(&self.job)),
             ("entry", Json::str(&self.entry)),
-            ("program_digest", Json::Str(format!("{:016x}", self.program_digest))),
+            (
+                "program_digest",
+                Json::Str(format!("{:016x}", self.program_digest)),
+            ),
             (
                 "pair",
                 Json::Arr(vec![
@@ -477,8 +476,7 @@ mod tests {
                 ..sample()
             };
             let text = artifact.to_json().to_text();
-            let parsed =
-                FailureArtifact::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+            let parsed = FailureArtifact::from_json(&crate::json::parse(&text).unwrap()).unwrap();
             assert_eq!(parsed.kind, kind);
         }
     }

@@ -33,10 +33,10 @@ use crate::durable;
 use crate::journal;
 use crate::json::Json;
 use crate::{JobOutcome, QuarantineReason, QuarantinedPair};
-use sana::PruneReason;
 use cil::flat::InstrId;
 use detector::RacePair;
 use racefuzzer::{PairReport, Provenance};
+use sana::PruneReason;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -211,10 +211,7 @@ pub(crate) fn report_to_json(report: &PairReport) -> Json {
         ("deadlock_trials", Json::usize(report.deadlock_trials)),
         ("memory_trials", Json::usize(report.memory_trials)),
         ("first_hit_seed", opt_u64(report.first_hit_seed)),
-        (
-            "first_exception_seed",
-            opt_u64(report.first_exception_seed),
-        ),
+        ("first_exception_seed", opt_u64(report.first_exception_seed)),
     ])
 }
 
@@ -313,10 +310,7 @@ pub(crate) fn failure_from_json(value: &Json) -> Result<TrialFailure, ArtifactEr
     })
 }
 
-fn failure_kind_from_parts(
-    tag: &str,
-    message: Option<&str>,
-) -> Result<FailureKind, ArtifactError> {
+fn failure_kind_from_parts(tag: &str, message: Option<&str>) -> Result<FailureKind, ArtifactError> {
     FailureKind::from_parts(tag, message)
         .ok_or_else(|| ArtifactError::Malformed(format!("unknown failure kind '{tag}'")))
 }
@@ -413,7 +407,12 @@ pub(crate) fn job_to_json(job: &JobOutcome) -> Json {
         ),
         (
             "soundness_bugs",
-            Json::Arr(job.soundness_bugs.iter().map(|bug| Json::str(bug)).collect()),
+            Json::Arr(
+                job.soundness_bugs
+                    .iter()
+                    .map(|bug| Json::str(bug))
+                    .collect(),
+            ),
         ),
         (
             "failures",

@@ -121,7 +121,10 @@ pub fn unseal(text: &str) -> Result<Unsealed<'_>, String> {
 /// The temp-file path `write_durable` stages through (also what the
 /// recovery scan sweeps for).
 pub fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(".tmp");
     path.with_file_name(name)
 }

@@ -224,7 +224,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -377,10 +381,8 @@ impl Parser<'_> {
                 }
                 _ => {
                     // Re-decode from the byte position: strings are UTF-8.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos - 1..]).map_err(|_| {
-                            self.error("invalid UTF-8 in string")
-                        })?;
+                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
+                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
                     let ch = rest.chars().next().expect("non-empty");
                     out.push(ch);
                     self.pos += ch.len_utf8() - 1;

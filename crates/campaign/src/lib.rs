@@ -71,9 +71,7 @@ pub mod json;
 pub mod recovery;
 pub mod supervisor;
 
-pub use artifact::{
-    program_digest, ArtifactError, FailureArtifact, FailureKind, TrialFailure,
-};
+pub use artifact::{program_digest, ArtifactError, FailureArtifact, FailureKind, TrialFailure};
 pub use checkpoint::{Checkpoint, CheckpointHeader};
 pub use recovery::{RecoveryAction, RecoveryEvent};
 pub use supervisor::{supervise, ChildExit, CrashLedger, SupervisorOptions, SupervisorOutcome};
@@ -415,7 +413,9 @@ impl CampaignReport {
         let mut total: Option<SnapshotStats> = None;
         for report in self.jobs.iter().flat_map(|job| &job.reports) {
             if let Some(stats) = &report.snapshots {
-                total.get_or_insert_with(SnapshotStats::default).merge(stats);
+                total
+                    .get_or_insert_with(SnapshotStats::default)
+                    .merge(stats);
             }
         }
         total
@@ -1008,8 +1008,7 @@ impl Campaign {
             .into_iter()
             .map(|fresh_job| {
                 match checkpoint.jobs.iter().find(|saved| {
-                    saved.name == fresh_job.name
-                        && saved.program_digest == fresh_job.program_digest
+                    saved.name == fresh_job.name && saved.program_digest == fresh_job.program_digest
                 }) {
                     Some(saved) => {
                         resumed_any = true;

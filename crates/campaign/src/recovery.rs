@@ -55,7 +55,12 @@ impl std::fmt::Display for RecoveryEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.action {
             RecoveryAction::SidelinedCorrupt => {
-                write!(f, "sidelined corrupt {}: {}", self.path.display(), self.reason)
+                write!(
+                    f,
+                    "sidelined corrupt {}: {}",
+                    self.path.display(),
+                    self.reason
+                )
             }
             RecoveryAction::RemovedStaleTmp => {
                 write!(f, "removed stale temp file {}", self.path.display())

@@ -88,7 +88,10 @@ fn flipped_artifact_byte_is_refused_not_replayed() {
     let report = campaign.run().unwrap();
     assert!(report.quarantine_count() > 0, "buster pairs quarantine");
     let paths = artifact_paths(&dir);
-    assert!(paths.len() >= 2, "expected several artifacts, got {paths:?}");
+    assert!(
+        paths.len() >= 2,
+        "expected several artifacts, got {paths:?}"
+    );
 
     // Flip one byte in the middle of the first artifact.
     let victim = &paths[0];
@@ -175,7 +178,10 @@ fn v2_checkpoint_resumes_under_format_version_3() {
     let dir = temp_dir("migrate");
     let checkpoint = dir.join("checkpoint.json");
     std::fs::copy(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/checkpoint_v2.json"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/checkpoint_v2.json"
+        ),
         &checkpoint,
     )
     .unwrap();
@@ -207,7 +213,10 @@ fn v2_checkpoint_resumes_under_format_version_3() {
     // The checkpoint was rewritten in the current sealed format.
     let text = std::fs::read_to_string(&checkpoint).unwrap();
     assert!(text.contains("\"format_version\": 3"));
-    assert!(text.contains("#crc32="), "v3 checkpoints carry a CRC footer");
+    assert!(
+        text.contains("#crc32="),
+        "v3 checkpoints carry a CRC footer"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -159,7 +159,7 @@ fn panicking_trial_writes_artifact_and_reproduce_replays_it() {
     assert!(job.quarantined[0].reason.to_string().contains("cursed"));
     // …but trials with other seeds completed first.
     assert_eq!(job.reports[0].trials, 3); // seeds 1..=3 before 4 failed
-    // Every predicted pair hits the cursed seed: two attempts each.
+                                          // Every predicted pair hits the cursed seed: two attempts each.
     assert_eq!(job.quarantined.len(), job.potential.len());
     let panic_failures: Vec<_> = job
         .failures
@@ -185,9 +185,7 @@ fn panicking_trial_writes_artifact_and_reproduce_replays_it() {
         seed: 4,
         inner: FuzzRunner,
     };
-    let reproduction = campaign
-        .reproduce_with(&replay_runner, &artifact)
-        .unwrap();
+    let reproduction = campaign.reproduce_with(&replay_runner, &artifact).unwrap();
     assert!(reproduction.matches(&artifact));
     assert_eq!(reproduction.kind, Some(artifact.kind.clone()));
 
@@ -223,7 +221,10 @@ fn interrupted_campaign_resumes_to_identical_reports() {
     let reference = Campaign::new(jobs(), base_options.clone()).run().unwrap();
     assert!(reference.completed());
     let total_pairs: usize = reference.jobs.iter().map(|job| job.potential.len()).sum();
-    assert!(total_pairs >= 2, "need at least two pairs to interrupt between");
+    assert!(
+        total_pairs >= 2,
+        "need at least two pairs to interrupt between"
+    );
 
     // Interrupted run: complete one pair per invocation, "killing" the
     // campaign after each — state must survive entirely via the checkpoint.
@@ -245,8 +246,22 @@ fn interrupted_campaign_resumes_to_identical_reports() {
 
     // The acceptance bar: identical final PairReports, byte for byte.
     assert_eq!(
-        format!("{:?}", final_report.jobs.iter().map(|j| &j.reports).collect::<Vec<_>>()),
-        format!("{:?}", reference.jobs.iter().map(|j| &j.reports).collect::<Vec<_>>()),
+        format!(
+            "{:?}",
+            final_report
+                .jobs
+                .iter()
+                .map(|j| &j.reports)
+                .collect::<Vec<_>>()
+        ),
+        format!(
+            "{:?}",
+            reference
+                .jobs
+                .iter()
+                .map(|j| &j.reports)
+                .collect::<Vec<_>>()
+        ),
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -314,7 +329,10 @@ fn campaign_over_all_workloads_survives_one_bad_workload() {
         if job.name == bad_name {
             assert!(!job.potential.is_empty());
             assert_eq!(job.quarantined.len(), job.potential.len());
-            assert!(job.quarantined[0].reason.to_string().contains("always crashes"));
+            assert!(job.quarantined[0]
+                .reason
+                .to_string()
+                .contains("always crashes"));
         } else {
             assert!(job.quarantined.is_empty(), "{} was quarantined", job.name);
             for pair_report in &job.reports {
@@ -329,7 +347,11 @@ fn campaign_over_all_workloads_survives_one_bad_workload() {
 fn render_reports(report: &campaign::CampaignReport) -> String {
     format!(
         "{:?}",
-        report.jobs.iter().map(|job| &job.reports).collect::<Vec<_>>()
+        report
+            .jobs
+            .iter()
+            .map(|job| &job.reports)
+            .collect::<Vec<_>>()
     )
 }
 
@@ -358,7 +380,9 @@ fn parallel_campaign_matches_sequential_and_survives_interruption() {
         parallel: racefuzzer::ParallelOptions::with_workers(4),
         ..base_options.clone()
     };
-    let parallel = Campaign::new(jobs(), parallel_options.clone()).run().unwrap();
+    let parallel = Campaign::new(jobs(), parallel_options.clone())
+        .run()
+        .unwrap();
     assert!(parallel.completed());
     assert_eq!(render_reports(&parallel), render_reports(&reference));
     assert_eq!(parallel.failure_count(), reference.failure_count());

@@ -102,10 +102,7 @@ fn prune_mode_quarantines_refuted_pairs_without_losing_races() {
     assert!(!pruned_real.is_empty(), "the mixed program has a real race");
 
     // Reports stay parallel to `potential` (pruned pairs keep empty slots).
-    assert_eq!(
-        pruned.jobs[0].reports.len(),
-        pruned.jobs[0].potential.len()
-    );
+    assert_eq!(pruned.jobs[0].reports.len(), pruned.jobs[0].potential.len());
 }
 
 #[test]
@@ -226,7 +223,10 @@ fn crash_ledger_prune_and_stops_commit_the_same_bytes_at_any_worker_count() {
                 break report;
             }
             assert!(report.interrupted, "workers={workers}");
-            assert!(stops.len() < 64, "workers={workers}: the campaign never completes");
+            assert!(
+                stops.len() < 64,
+                "workers={workers}: the campaign never completes"
+            );
         };
         let quarantined = &last.jobs[0].quarantined;
         assert!(
@@ -240,7 +240,11 @@ fn crash_ledger_prune_and_stops_commit_the_same_bytes_at_any_worker_count() {
             "workers={workers}: {quarantined:?}"
         );
         assert!(!last.jobs[0].real_races().is_empty(), "workers={workers}");
-        assert!(stops.len() > 2, "workers={workers}: {} stop(s)", stops.len());
+        assert!(
+            stops.len() > 2,
+            "workers={workers}: {} stop(s)",
+            stops.len()
+        );
         runs.push((stops, last.canonical_json()));
         for path in [&checkpoint, &journal, &ledger_path] {
             std::fs::remove_file(path).ok();

@@ -46,9 +46,7 @@ fn dead_worker_is_detected_and_the_campaign_finishes() {
     };
 
     // The first worker to claim a pair dies before delivering it.
-    faults::install(
-        faults::Schedule::parse("campaign.worker@1=err").unwrap(),
-    );
+    faults::install(faults::Schedule::parse("campaign.worker@1=err").unwrap());
     let report = Campaign::new(vec![CampaignJob::new("fanout", program, "main")], options)
         .run()
         .unwrap();

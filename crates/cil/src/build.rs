@@ -400,11 +400,7 @@ mod tests {
         let mut builder = ProgramBuilder::new();
         builder.class("Cell", ["value"]);
         builder.global_init("shared", Literal::Int(0));
-        builder.proc_decl(
-            "writer",
-            ["n"],
-            block([assign_name("shared", name("n"))]),
-        );
+        builder.proc_decl("writer", ["n"], block([assign_name("shared", name("n"))]));
         builder.proc_decl(
             "main",
             [],
@@ -416,7 +412,9 @@ mod tests {
         );
         let program = builder.compile().unwrap();
         assert_eq!(program.proc_count(), 2);
-        assert!(program.instr(program.tagged_access("read")).is_memory_access());
+        assert!(program
+            .instr(program.tagged_access("read"))
+            .is_memory_access());
     }
 
     #[test]

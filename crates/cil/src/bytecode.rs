@@ -272,7 +272,10 @@ impl Footprint {
                 is_write,
             }),
             Footprint::Field {
-                obj, field, is_write, ..
+                obj,
+                field,
+                is_write,
+                ..
             } => Some(AbstractAccess {
                 place: AbstractPlace::Field { obj, field },
                 is_write,
@@ -347,10 +350,9 @@ impl AbstractAccess {
                 AbstractPlace::Field { obj: a, field: fa },
                 AbstractPlace::Field { obj: b, field: fb },
             ) => fa == fb && bases_overlap(a, b),
-            (
-                AbstractPlace::Elem { arr: a, idx: ia },
-                AbstractPlace::Elem { arr: b, idx: ib },
-            ) => ia.may_equal(ib) && bases_overlap(a, b),
+            (AbstractPlace::Elem { arr: a, idx: ia }, AbstractPlace::Elem { arr: b, idx: ib }) => {
+                ia.may_equal(ib) && bases_overlap(a, b)
+            }
             _ => false,
         }
     }
@@ -583,7 +585,10 @@ impl CodeImage {
 
     /// How many source instructions compiled to [`Op::Fallback`].
     pub fn fallback_count(&self) -> usize {
-        self.ops.iter().filter(|op| matches!(op, Op::Fallback)).count()
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, Op::Fallback))
+            .count()
     }
 }
 
@@ -811,11 +816,7 @@ impl Compiler {
             },
             Instr::StoreElem { arr, idx, src } => {
                 match (self.no_ops_rvalue(idx), self.no_ops_rvalue(src)) {
-                    (Some(idx), Some(rv)) => Op::StoreElem {
-                        arr: *arr,
-                        idx,
-                        rv,
-                    },
+                    (Some(idx), Some(rv)) => Op::StoreElem { arr: *arr, idx, rv },
                     _ => Op::Fallback,
                 }
             }
@@ -869,18 +870,32 @@ fn op_access(op: &Op) -> Option<AbstractAccess> {
     let (place, is_write) = match op {
         Op::LoadGlobal { global, .. } => (AbstractPlace::Global(*global), false),
         Op::StoreGlobal { global, .. } => (AbstractPlace::Global(*global), true),
-        Op::LoadField { obj, field, .. } => {
-            (AbstractPlace::Field { obj: *obj, field: *field }, false)
-        }
-        Op::StoreField { obj, field, .. } => {
-            (AbstractPlace::Field { obj: *obj, field: *field }, true)
-        }
+        Op::LoadField { obj, field, .. } => (
+            AbstractPlace::Field {
+                obj: *obj,
+                field: *field,
+            },
+            false,
+        ),
+        Op::StoreField { obj, field, .. } => (
+            AbstractPlace::Field {
+                obj: *obj,
+                field: *field,
+            },
+            true,
+        ),
         Op::LoadElem { arr, idx, .. } => (
-            AbstractPlace::Elem { arr: *arr, idx: rvalue_idx(idx) },
+            AbstractPlace::Elem {
+                arr: *arr,
+                idx: rvalue_idx(idx),
+            },
             false,
         ),
         Op::StoreElem { arr, idx, .. } => (
-            AbstractPlace::Elem { arr: *arr, idx: rvalue_idx(idx) },
+            AbstractPlace::Elem {
+                arr: *arr,
+                idx: rvalue_idx(idx),
+            },
             true,
         ),
         _ => return None,
@@ -930,9 +945,7 @@ mod tests {
 
     #[test]
     fn index_increment_fuses_to_one_op() {
-        let (program, image) = image(
-            "proc main() { var i = 0; @inc i = i + 1; }",
-        );
+        let (program, image) = image("proc main() { var i = 0; @inc i = i + 1; }");
         let pc = program.tagged("inc")[0];
         let ops = image.ops_of(pc);
         assert_eq!(ops.len(), 1, "i = i + 1 must be a single superinstruction");
@@ -947,29 +960,31 @@ mod tests {
 
     #[test]
     fn compare_and_branch_fuses() {
-        let (program, image) = image(
-            "proc main() { var i = 0; while (i < 10) { i = i + 1; } }",
-        );
+        let (program, image) = image("proc main() { var i = 0; while (i < 10) { i = i + 1; } }");
         let fused_branch = (0..program.instr_count()).any(|index| {
-            image.ops_of(InstrId(index as u32)).last().is_some_and(|op| {
-                matches!(
-                    op,
-                    Op::Branch {
-                        rv: RValue::Bin(BinOp::Lt, _, _),
-                        ..
-                    }
-                )
-            })
+            image
+                .ops_of(InstrId(index as u32))
+                .last()
+                .is_some_and(|op| {
+                    matches!(
+                        op,
+                        Op::Branch {
+                            rv: RValue::Bin(BinOp::Lt, _, _),
+                            ..
+                        }
+                    )
+                })
         });
-        assert!(fused_branch, "while (i < 10) must compile to compare-and-branch");
+        assert!(
+            fused_branch,
+            "while (i < 10) must compile to compare-and-branch"
+        );
         assert!(image.fused_count() >= 2); // the branch and the increment
     }
 
     #[test]
     fn global_rmw_fuses_store_side() {
-        let (program, image) = image(
-            "global x = 0; proc main() { @rmw x = x + 1; }",
-        );
+        let (program, image) = image("global x = 0; proc main() { @rmw x = x + 1; }");
         // x = x + 1 lowers to LoadGlobal-temp then StoreGlobal(temp + 1);
         // the store side must carry the binop inline (load-op-store).
         let accesses = program.tagged_accesses("rmw");
@@ -989,9 +1004,8 @@ mod tests {
 
     #[test]
     fn nested_expressions_flatten_in_recursion_order() {
-        let (program, image) = image(
-            "proc main() { var a = 1; var b = 2; var c = 0; @deep c = (a + b) * (a - b); }",
-        );
+        let (program, image) =
+            image("proc main() { var a = 1; var b = 2; var c = 0; @deep c = (a + b) * (a - b); }");
         let pc = program.tagged("deep")[0];
         let ops = image.ops_of(pc);
         // (a + b) then (a - b) as Expr temps, then the fused Mul head.
@@ -1074,7 +1088,10 @@ mod tests {
         let gr = program.tagged_access("gr");
         assert!(matches!(
             image.footprint(gr),
-            Footprint::Global { is_write: false, .. }
+            Footprint::Global {
+                is_write: false,
+                ..
+            }
         ));
     }
 
@@ -1097,8 +1114,12 @@ mod tests {
                 panic!("field access has field footprint");
             };
             match head_of(&program, &image, tag) {
-                Op::StoreField { cache: op_cache, .. }
-                | Op::LoadField { cache: op_cache, .. } => {
+                Op::StoreField {
+                    cache: op_cache, ..
+                }
+                | Op::LoadField {
+                    cache: op_cache, ..
+                } => {
                     assert_eq!(*op_cache, cache, "op and footprint share the site");
                 }
                 other => panic!("expected field op, got {other:?}"),
@@ -1131,8 +1152,12 @@ mod tests {
                 );
             }
             match program.instr(pc) {
-                Instr::Lock { .. } | Instr::Unlock { .. } | Instr::Spawn { .. }
-                | Instr::Join { .. } | Instr::New { .. } | Instr::Call { .. }
+                Instr::Lock { .. }
+                | Instr::Unlock { .. }
+                | Instr::Spawn { .. }
+                | Instr::Join { .. }
+                | Instr::New { .. }
+                | Instr::Call { .. }
                 | Instr::Return { .. } => {
                     assert!(matches!(ops, [Op::Fallback]), "{pc:?} must fall back");
                 }
@@ -1248,7 +1273,10 @@ mod tests {
         assert!(matches!(
             image.accesses_of(cplx)[0],
             AbstractAccess {
-                place: AbstractPlace::Elem { idx: FootprintIdx::Expr, .. },
+                place: AbstractPlace::Elem {
+                    idx: FootprintIdx::Expr,
+                    ..
+                },
                 is_write: true,
             }
         ));
@@ -1256,7 +1284,10 @@ mod tests {
         let c0 = program.tagged_access("c0");
         assert!(matches!(
             image.accesses_of(c0)[0].place,
-            AbstractPlace::Elem { idx: FootprintIdx::Const(0), .. }
+            AbstractPlace::Elem {
+                idx: FootprintIdx::Const(0),
+                ..
+            }
         ));
         let pcs: Vec<_> = image.memory_access_pcs().collect();
         let expected: Vec<_> = program.memory_access_instrs().collect();
@@ -1292,21 +1323,24 @@ mod tests {
         assert!(field_x.may_alias_with(&field_x, |_, _| true));
         assert!(!field_x.may_alias_with(&field_x, |_, _| false));
         let elem = |idx| AbstractAccess {
-            place: AbstractPlace::Elem { arr: LocalId(1), idx },
+            place: AbstractPlace::Elem {
+                arr: LocalId(1),
+                idx,
+            },
             is_write: false,
         };
         assert!(!elem(FootprintIdx::Const(0))
             .may_alias_with(&elem(FootprintIdx::Const(1)), |_, _| true));
-        assert!(elem(FootprintIdx::Const(0))
-            .may_alias_with(&elem(FootprintIdx::Const(0)), |_, _| true));
+        assert!(
+            elem(FootprintIdx::Const(0)).may_alias_with(&elem(FootprintIdx::Const(0)), |_, _| true)
+        );
         assert!(elem(FootprintIdx::Const(0))
             .may_alias_with(&elem(FootprintIdx::Local(LocalId(9))), |_, _| true));
     }
 
     #[test]
     fn try_compile_accepts_normal_programs() {
-        let program = crate::compile("proc main() { var i = 0; i = i + 1; }")
-            .expect("compiles");
+        let program = crate::compile("proc main() { var i = 0; i = i + 1; }").expect("compiles");
         let image = CodeImage::try_compile(&program).expect("fits in u32 space");
         assert!(image.op_count() > 0);
         let error = ImageLimitError {

@@ -117,10 +117,7 @@ impl ProcChecker<'_> {
     }
 
     fn declare(&mut self, name: &str, span: Span) -> Result<(), Error> {
-        let visible = self
-            .scopes
-            .iter()
-            .any(|scope| scope.contains_key(name));
+        let visible = self.scopes.iter().any(|scope| scope.contains_key(name));
         if visible {
             return Err(Error::new(
                 ErrorKind::Check,

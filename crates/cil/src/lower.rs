@@ -16,7 +16,9 @@
 //! Shared reads are emitted left-to-right in Java evaluation order, and for
 //! assignments the target address is computed before the right-hand side.
 
-use crate::ast::{self, Block, CatchFilter, Expr, ExprKind, LValue, Literal, Module, Rhs, StmtKind};
+use crate::ast::{
+    self, Block, CatchFilter, Expr, ExprKind, LValue, Literal, Module, Rhs, StmtKind,
+};
 use crate::check::ModuleInfo;
 use crate::flat::*;
 use crate::intern::Interner;
@@ -257,7 +259,13 @@ impl Lowerer<'_> {
                             .last_mut()
                             .expect("scope stack is never empty")
                             .insert(name.clone(), id);
-                        self.emit(Instr::Assign { dst: id, expr: value }, span);
+                        self.emit(
+                            Instr::Assign {
+                                dst: id,
+                                expr: value,
+                            },
+                            span,
+                        );
                     }
                     None => {
                         let id = self.new_local(name);
@@ -361,12 +369,7 @@ impl Lowerer<'_> {
                 let body_start = self.next_id();
                 self.patch_branch_true(branch, body_start);
                 self.lower_block(body);
-                self.emit(
-                    Instr::Jump {
-                        target: loop_start,
-                    },
-                    span,
-                );
+                self.emit(Instr::Jump { target: loop_start }, span);
                 let end = self.next_id();
                 self.patch_branch_false(branch, end);
             }
@@ -438,7 +441,10 @@ impl Lowerer<'_> {
                 let catches = match filter {
                     CatchFilter::All => CatchKinds::All,
                     CatchFilter::Named(names) => CatchKinds::Named(
-                        names.iter().map(|name| self.interner.intern(name)).collect(),
+                        names
+                            .iter()
+                            .map(|name| self.interner.intern(name))
+                            .collect(),
                     ),
                 };
                 let enter = self.emit(
@@ -513,7 +519,14 @@ impl Lowerer<'_> {
                 );
             }
             TargetAddr::Elem(arr, idx) => {
-                self.emit(Instr::StoreElem { arr, idx, src: value }, span);
+                self.emit(
+                    Instr::StoreElem {
+                        arr,
+                        idx,
+                        src: value,
+                    },
+                    span,
+                );
             }
         }
     }
@@ -686,7 +699,10 @@ mod tests {
         let code = instrs_of(&program, "main");
         // Expected shape: LoadGlobal, Branch, Nop, Jump(back to load), Return.
         assert!(matches!(code[0], Instr::LoadGlobal { .. }));
-        let Instr::Branch { if_true, if_false, .. } = &code[1] else {
+        let Instr::Branch {
+            if_true, if_false, ..
+        } = &code[1]
+        else {
             panic!("expected branch, got {:?}", code[1]);
         };
         assert!(if_true.index() > 0 && if_false.index() > 0, "patched");

@@ -321,7 +321,10 @@ impl Parser {
                 None
             };
             let end = self.expect(TokenKind::Semi)?;
-            return Ok(Stmt::new(StmtKind::VarDecl { name, init }, start.merge(end)));
+            return Ok(Stmt::new(
+                StmtKind::VarDecl { name, init },
+                start.merge(end),
+            ));
         }
         if self.at_keyword("if") {
             return self.if_stmt();
@@ -771,7 +774,10 @@ impl Parser {
         match token.kind {
             TokenKind::Int(value) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Literal(Literal::Int(value)), token.span))
+                Ok(Expr::new(
+                    ExprKind::Literal(Literal::Int(value)),
+                    token.span,
+                ))
             }
             TokenKind::Str(text) => {
                 self.bump();

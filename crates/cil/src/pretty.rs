@@ -30,18 +30,12 @@ pub fn instr_to_string(program: &Program, id: InstrId) -> String {
             program.name(program.globals[global.index()].name),
             pure(src)
         ),
-        Instr::LoadField { dst, obj, field } => format!(
-            "{} = {}.{}",
-            local(*dst),
-            local(*obj),
-            program.name(*field)
-        ),
-        Instr::StoreField { obj, field, src } => format!(
-            "{}.{} = {}",
-            local(*obj),
-            program.name(*field),
-            pure(src)
-        ),
+        Instr::LoadField { dst, obj, field } => {
+            format!("{} = {}.{}", local(*dst), local(*obj), program.name(*field))
+        }
+        Instr::StoreField { obj, field, src } => {
+            format!("{}.{} = {}", local(*obj), program.name(*field), pure(src))
+        }
         Instr::LoadElem { dst, arr, idx } => {
             format!("{} = {}[{}]", local(*dst), local(*arr), pure(idx))
         }
@@ -67,7 +61,11 @@ pub fn instr_to_string(program: &Program, id: InstrId) -> String {
         Instr::Wait { obj } => format!("wait {}", local(*obj)),
         Instr::Notify { obj } => format!("notify {}", local(*obj)),
         Instr::NotifyAll { obj } => format!("notifyall {}", local(*obj)),
-        Instr::Spawn { dst, proc: callee, args } => {
+        Instr::Spawn {
+            dst,
+            proc: callee,
+            args,
+        } => {
             let args: Vec<String> = args.iter().map(pure).collect();
             let call = format!(
                 "spawn {}({})",
@@ -82,7 +80,11 @@ pub fn instr_to_string(program: &Program, id: InstrId) -> String {
         Instr::Join { thread } => format!("join {}", local(*thread)),
         Instr::Interrupt { thread } => format!("interrupt {}", local(*thread)),
         Instr::Sleep { duration } => format!("sleep {}", pure(duration)),
-        Instr::Call { dst, proc: callee, args } => {
+        Instr::Call {
+            dst,
+            proc: callee,
+            args,
+        } => {
             let args: Vec<String> = args.iter().map(pure).collect();
             let call = format!(
                 "call {}({})",

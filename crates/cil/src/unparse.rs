@@ -12,7 +12,12 @@ use std::fmt::Write as _;
 pub fn unparse_module(module: &Module) -> String {
     let mut out = String::new();
     for class in &module.classes {
-        let _ = writeln!(out, "class {} {{ {} }}", class.name, class.fields.join(", "));
+        let _ = writeln!(
+            out,
+            "class {} {{ {} }}",
+            class.name,
+            class.fields.join(", ")
+        );
     }
     for global in &module.globals {
         match &global.init {
@@ -199,10 +204,7 @@ fn rhs_text(rhs: &Rhs) -> String {
 }
 
 fn args_text(args: &[Expr]) -> String {
-    args.iter()
-        .map(expr_text)
-        .collect::<Vec<_>>()
-        .join(", ")
+    args.iter().map(expr_text).collect::<Vec<_>>().join(", ")
 }
 
 /// Operator precedence levels, matching the parser's grammar.
@@ -338,11 +340,9 @@ mod tests {
 
     #[test]
     fn comparison_operands_parenthesise() {
-        let module =
-            parse_module("proc main() { var a = (1 < 2) == (3 < 4); }").unwrap();
+        let module = parse_module("proc main() { var a = (1 < 2) == (3 < 4); }").unwrap();
         let text = unparse_module(&module);
-        let reparsed = parse_module(&text)
-            .unwrap_or_else(|error| panic!("{error}\n{text}"));
+        let reparsed = parse_module(&text).unwrap_or_else(|error| panic!("{error}\n{text}"));
         assert_eq!(text, unparse_module(&reparsed));
     }
 

@@ -38,9 +38,34 @@ fn arb_binop() -> impl Strategy<Value = BinOp> {
 
 fn is_keyword(name: &str) -> bool {
     [
-        "class", "global", "proc", "var", "if", "else", "while", "sync", "lock", "unlock",
-        "wait", "notify", "join", "sleep", "assert", "throw", "try", "catch", "return",
-        "print", "nop", "spawn", "new", "true", "false", "null", "len", "notifyall",
+        "class",
+        "global",
+        "proc",
+        "var",
+        "if",
+        "else",
+        "while",
+        "sync",
+        "lock",
+        "unlock",
+        "wait",
+        "notify",
+        "join",
+        "sleep",
+        "assert",
+        "throw",
+        "try",
+        "catch",
+        "return",
+        "print",
+        "nop",
+        "spawn",
+        "new",
+        "true",
+        "false",
+        "null",
+        "len",
+        "notifyall",
         "interrupt",
     ]
     .contains(&name)
@@ -74,14 +99,13 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
                     S
                 )
             ),
-            (inner.clone(), arb_name())
-                .prop_map(|(obj, field)| Expr::new(
-                    ExprKind::Field {
-                        obj: Box::new(obj),
-                        field,
-                    },
-                    S
-                )),
+            (inner.clone(), arb_name()).prop_map(|(obj, field)| Expr::new(
+                ExprKind::Field {
+                    obj: Box::new(obj),
+                    field,
+                },
+                S
+            )),
             (inner.clone(), inner.clone()).prop_map(|(arr, index)| Expr::new(
                 ExprKind::Index {
                     arr: Box::new(arr),
@@ -99,18 +123,15 @@ fn expr_eq(a: &Expr, b: &Expr) -> bool {
     match (&a.kind, &b.kind) {
         (ExprKind::Literal(x), ExprKind::Literal(y)) => x == y,
         (ExprKind::Name(x), ExprKind::Name(y)) => x == y,
-        (
-            ExprKind::Field { obj: ao, field: af },
-            ExprKind::Field { obj: bo, field: bf },
-        ) => af == bf && expr_eq(ao, bo),
-        (
-            ExprKind::Index { arr: aa, index: ai },
-            ExprKind::Index { arr: ba, index: bi },
-        ) => expr_eq(aa, ba) && expr_eq(ai, bi),
-        (
-            ExprKind::Unary { op: x, operand: ao },
-            ExprKind::Unary { op: y, operand: bo },
-        ) => x == y && expr_eq(ao, bo),
+        (ExprKind::Field { obj: ao, field: af }, ExprKind::Field { obj: bo, field: bf }) => {
+            af == bf && expr_eq(ao, bo)
+        }
+        (ExprKind::Index { arr: aa, index: ai }, ExprKind::Index { arr: ba, index: bi }) => {
+            expr_eq(aa, ba) && expr_eq(ai, bi)
+        }
+        (ExprKind::Unary { op: x, operand: ao }, ExprKind::Unary { op: y, operand: bo }) => {
+            x == y && expr_eq(ao, bo)
+        }
         (
             ExprKind::Binary {
                 op: x,

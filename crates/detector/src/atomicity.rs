@@ -153,12 +153,15 @@ impl Observer for AtomicityObserver {
                             .collect()
                     })
                     .unwrap_or_default();
-                self.accesses.entry(*thread).or_default().push(SectionAccess {
-                    instr: *instr,
-                    loc: *loc,
-                    is_write: *is_write,
-                    sections,
-                });
+                self.accesses
+                    .entry(*thread)
+                    .or_default()
+                    .push(SectionAccess {
+                        instr: *instr,
+                        loc: *loc,
+                        is_write: *is_write,
+                        sections,
+                    });
             }
             _ => {}
         }

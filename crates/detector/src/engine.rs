@@ -18,7 +18,7 @@
 
 use crate::report::RacePair;
 use cil::flat::InstrId;
-use interp::{Event, Loc, MsgId, Observer, ObjId, ThreadId};
+use interp::{Event, Loc, MsgId, ObjId, Observer, ThreadId};
 use std::collections::{BTreeSet, HashMap};
 use vclock::VectorClock;
 

@@ -29,7 +29,10 @@ impl RacePair {
     /// Creates a pair; order of arguments does not matter.
     pub fn new(a: InstrId, b: InstrId) -> Self {
         if a <= b {
-            RacePair { first: a, second: b }
+            RacePair {
+                first: a,
+                second: b,
+            }
         } else {
             RacePair {
                 first: b,

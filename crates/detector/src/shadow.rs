@@ -39,7 +39,7 @@ use crate::engine::{disjoint, Policy};
 use crate::report::RacePair;
 use cil::flat::{GlobalId, InstrId};
 use cil::Symbol;
-use interp::{Event, Loc, MsgId, Observer, ObjId, ThreadId};
+use interp::{Event, Loc, MsgId, ObjId, Observer, ThreadId};
 use std::collections::{BTreeSet, HashMap};
 use vclock::VectorClock;
 
@@ -329,7 +329,14 @@ impl EpochEngine {
         self.policy == Policy::HappensBefore
     }
 
-    fn on_mem(&mut self, thread: ThreadId, instr: InstrId, loc: Loc, is_write: bool, locks: &[ObjId]) {
+    fn on_mem(
+        &mut self,
+        thread: ThreadId,
+        instr: InstrId,
+        loc: Loc,
+        is_write: bool,
+        locks: &[ObjId],
+    ) {
         let index = thread.index();
         let time = self.tick(thread);
 
@@ -616,7 +623,11 @@ mod tests {
             engine.on_event(&mem(0, instr, Loc::Global(GlobalId(1)), false, &[]));
         }
         assert_eq!(engine.location_count(), 2);
-        assert_eq!(engine.inflated_count(), 0, "single-thread accesses stay cheap");
+        assert_eq!(
+            engine.inflated_count(),
+            0,
+            "single-thread accesses stay cheap"
+        );
         // A second thread inflates exactly the location it touches.
         engine.on_event(&mem(1, 99, G, false, &[]));
         assert_eq!(engine.inflated_count(), 1);

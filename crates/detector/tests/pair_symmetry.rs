@@ -8,11 +8,11 @@
 //! construction; these tests pin that contract at every boundary where an
 //! order flip can happen.
 
+use cil::flat::InstrId;
 use detector::{
     predict_races, predict_with, DetectorEngine, EpochEngine, Policy, PredictConfig, RacePair,
 };
-use cil::flat::InstrId;
-use interp::{Event, Loc, Observer, ObjId, ThreadId};
+use interp::{Event, Loc, ObjId, Observer, ThreadId};
 
 /// Phase-1 predictions from both engines: the epoch engine through the
 /// public [`predict_races`], the naive one through the generic loop.

@@ -37,7 +37,10 @@ fn fork_ordered_writes_separate_eraser_from_hybrid() {
     "#;
     assert_eq!(predict(source, Policy::Hybrid), 0);
     assert_eq!(predict(source, Policy::HappensBefore), 0);
-    assert!(predict(source, Policy::Lockset) >= 1, "Eraser false positive");
+    assert!(
+        predict(source, Policy::Lockset) >= 1,
+        "Eraser false positive"
+    );
 }
 
 #[test]
@@ -69,7 +72,10 @@ fn lock_ordering_separates_hybrid_from_happens_before() {
     // Pure HB detection depends on the observed interleaving; across the
     // same runs it can only report a subset of hybrid's pairs.
     let hb = predict(source, Policy::HappensBefore);
-    assert!(hb <= hybrid, "HB ⊆ hybrid on this program: {hb} vs {hybrid}");
+    assert!(
+        hb <= hybrid,
+        "HB ⊆ hybrid on this program: {hb} vs {hybrid}"
+    );
 }
 
 #[test]

@@ -294,7 +294,10 @@ mod armed {
 
     pub fn install(schedule: Schedule, log_path: Option<PathBuf>) {
         let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-        ARMED.store(!schedule.is_empty() || log_path.is_some(), Ordering::Release);
+        ARMED.store(
+            !schedule.is_empty() || log_path.is_some(),
+            Ordering::Release,
+        );
         *guard = Some(Registry {
             schedule,
             counters: HashMap::new(),
@@ -433,8 +436,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        let schedule =
-            Schedule::parse("a.b@3=abort; c.d@1=err;e@2=short:17").unwrap();
+        let schedule = Schedule::parse("a.b@3=abort; c.d@1=err;e@2=short:17").unwrap();
         assert_eq!(
             schedule.plans(),
             &[

@@ -18,9 +18,9 @@
 use crate::event::{Access, Event, Loc, MsgId, Observer};
 use crate::heap::{Heap, HeapCell};
 use crate::locks::LockTable;
+use crate::scratch;
 use crate::thread::{Frame, Protection, Status, ThreadState, UncaughtException};
 use crate::value::{ObjId, ThreadId, Value};
-use crate::scratch;
 use crate::vm::{ExecEngine, EMPTY_CACHE};
 use cil::ast::{BinOp, UnOp};
 use cil::bytecode::{CodeImage, EnabledKind};
@@ -92,7 +92,10 @@ impl fmt::Display for ExecError {
                 write!(f, "call stack underflow on thread {thread:?}")
             }
             ExecError::MemoryBudget { used, budget } => {
-                write!(f, "heap budget exceeded: {used} cells over a budget of {budget}")
+                write!(
+                    f,
+                    "heap budget exceeded: {used} cells over a budget of {budget}"
+                )
             }
         }
     }
@@ -128,7 +131,6 @@ pub(crate) struct Thrown {
     pub(crate) message: Option<Arc<str>>,
     pub(crate) at: InstrId,
 }
-
 
 /// A copy-on-write fork point of an [`Execution`].
 ///
@@ -240,9 +242,19 @@ impl<'p> Execution<'p> {
     pub fn new(program: &'p Program, entry: &str) -> Result<Self, SetupError> {
         let (proc, entry_pc, local_count) = resolve_entry(program, entry)?;
         let mut globals = scratch::take_value_buffer(program.globals.len());
-        globals.extend(program.globals.iter().map(|global| Value::from(&global.init)));
+        globals.extend(
+            program
+                .globals
+                .iter()
+                .map(|global| Value::from(&global.init)),
+        );
         let mut threads = scratch::take_thread_table();
-        threads.push(scratch::take_thread(ThreadId(0), proc, entry_pc, local_count));
+        threads.push(scratch::take_thread(
+            ThreadId(0),
+            proc,
+            entry_pc,
+            local_count,
+        ));
         let code = program.bytecode();
         Ok(Execution {
             program,
@@ -356,9 +368,12 @@ impl<'p> Execution<'p> {
         self.threads.truncate(1);
         match self.threads.first_mut() {
             Some(main) => Arc::make_mut(main).reset(ThreadId(0), proc, entry_pc, local_count),
-            None => self
-                .threads
-                .push(scratch::take_thread(ThreadId(0), proc, entry_pc, local_count)),
+            None => self.threads.push(scratch::take_thread(
+                ThreadId(0),
+                proc,
+                entry_pc,
+                local_count,
+            )),
         }
         self.locks.clear();
         self.msg_counter = 0;
@@ -432,7 +447,10 @@ impl<'p> Execution<'p> {
         let Some(budget) = self.heap_budget else {
             return true;
         };
-        let used = self.heap.slots().saturating_add(crate::heap::alloc_cost(len));
+        let used = self
+            .heap
+            .slots()
+            .saturating_add(crate::heap::alloc_cost(len));
         if used > budget {
             self.poisoned = Some(ExecError::MemoryBudget { used, budget });
             return false;
@@ -765,7 +783,13 @@ impl<'p> Execution<'p> {
             return self.footprint_access(code, state, pc);
         }
         let locals = &state.frame().locals;
-        let access = |loc, is_write| Some(Access { instr: pc, loc, is_write });
+        let access = |loc, is_write| {
+            Some(Access {
+                instr: pc,
+                loc,
+                is_write,
+            })
+        };
         match self.program.instr(pc) {
             Instr::LoadGlobal { global, .. } => access(Loc::Global(*global), false),
             Instr::StoreGlobal { global, .. } => access(Loc::Global(*global), true),
@@ -1512,9 +1536,7 @@ impl<'p> Execution<'p> {
                     None => Value::Null,
                 };
                 // Release structured monitors opened in this frame.
-                while let Some(protection) =
-                    self.thread_mut(thread).frame_mut().protections.pop()
-                {
+                while let Some(protection) = self.thread_mut(thread).frame_mut().protections.pop() {
                     if let Protection::Monitor { obj } = protection {
                         self.release_one(thread, obj, pc, observer);
                     }
@@ -1543,8 +1565,7 @@ impl<'p> Execution<'p> {
             } => {
                 let value = self.eval(thread, cond, pc)?;
                 let taken = self.as_bool(value, pc)?;
-                self.thread_mut(thread).frame_mut().pc =
-                    if taken { *if_true } else { *if_false };
+                self.thread_mut(thread).frame_mut().pc = if taken { *if_true } else { *if_false };
             }
             Instr::Assert { cond, message } => {
                 let value = self.eval(thread, cond, pc)?;
@@ -1630,11 +1651,7 @@ impl<'p> Execution<'p> {
     ) -> Result<(ObjId, u32), Thrown> {
         let target = self.as_ref(self.local_ref(thread, arr), "array", pc)?;
         let Some(len) = self.heap.array_len(target) else {
-            return Err(self.throw(
-                self.program.builtins.type_error,
-                "indexing a non-array",
-                pc,
-            ));
+            return Err(self.throw(self.program.builtins.type_error, "indexing a non-array", pc));
         };
         let index = match self.eval(thread, idx, pc)? {
             Value::Int(index) => index,
@@ -1678,12 +1695,7 @@ impl<'p> Execution<'p> {
     }
 
     /// Moves a waiter to the reacquire state, pairing the notifier's `SND`.
-    fn signal_waiter(
-        &mut self,
-        notifier: ThreadId,
-        waiter: ThreadId,
-        observer: &mut dyn Observer,
-    ) {
+    fn signal_waiter(&mut self, notifier: ThreadId, waiter: ThreadId, observer: &mut dyn Observer) {
         let Status::Waiting { obj, depth } = self.threads[waiter.index()].status else {
             // Formerly a panic: record the invariant violation and poison
             // the machine so the driver can report a structured outcome.

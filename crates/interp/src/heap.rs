@@ -238,10 +238,7 @@ mod tests {
         }
         assert_eq!(heap.len(), total);
         for i in 0..total {
-            assert!(matches!(
-                heap.cell(ObjId(i as u32)),
-                HeapCell::Array { .. }
-            ));
+            assert!(matches!(heap.cell(ObjId(i as u32)), HeapCell::Array { .. }));
         }
     }
 }

@@ -54,7 +54,6 @@ pub mod value;
 pub mod vm;
 
 pub use event::{Access, Event, Loc, MsgId, NullObserver, Observer, RecordingObserver};
-pub use vm::ExecEngine;
 pub use exec::{ExecError, Execution, SetupError, Snapshot, StepResult};
 pub use heap::{Heap, HeapCell};
 pub use rng::Rng;
@@ -65,3 +64,4 @@ pub use sched::{
 };
 pub use thread::{Status, ThreadState, UncaughtException};
 pub use value::{ObjId, ThreadId, Value};
+pub use vm::ExecEngine;

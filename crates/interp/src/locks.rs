@@ -75,11 +75,7 @@ impl LockTable {
             .monitors
             .get_mut(&obj)
             .expect("release of never-acquired lock");
-        assert_eq!(
-            monitor.owner,
-            Some(thread),
-            "release by a non-owner thread"
-        );
+        assert_eq!(monitor.owner, Some(thread), "release by a non-owner thread");
         monitor.owner = None;
     }
 

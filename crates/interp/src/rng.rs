@@ -47,10 +47,7 @@ impl Rng {
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.state[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.state[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.state[1] << 17;
         self.state[2] ^= self.state[0];
         self.state[3] ^= self.state[1];
@@ -294,10 +291,7 @@ mod tests {
         let mut child1 = parent1.split();
         let mut child2 = parent2.split();
         assert_eq!(child1.next_u64(), child2.next_u64());
-        assert_ne!(
-            Rng::seeded(42).next_u64(),
-            Rng::seeded(43).next_u64()
-        );
+        assert_ne!(Rng::seeded(42).next_u64(), Rng::seeded(43).next_u64());
     }
 
     #[test]

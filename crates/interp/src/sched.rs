@@ -173,15 +173,14 @@ impl RaposScheduler {
         }
         let first = *self.rng.choose(enabled);
         let mut batch = vec![first];
-        let mut accesses: Vec<crate::event::Access> =
-            exec.next_access(first).into_iter().collect();
+        let mut accesses: Vec<crate::event::Access> = exec.next_access(first).into_iter().collect();
         for &candidate in enabled {
             if candidate == first {
                 continue;
             }
-            let conflict = exec.next_access(candidate).is_some_and(|access| {
-                accesses.iter().any(|held| held.conflicts_with(&access))
-            });
+            let conflict = exec
+                .next_access(candidate)
+                .is_some_and(|access| accesses.iter().any(|held| held.conflicts_with(&access)));
             if !conflict && self.rng.coin() {
                 if let Some(access) = exec.next_access(candidate) {
                     accesses.push(access);
@@ -296,9 +295,7 @@ impl Termination {
     pub fn is_abnormal(&self) -> bool {
         matches!(
             self,
-            Termination::StepLimit
-                | Termination::DeadlineExceeded
-                | Termination::EngineError(_)
+            Termination::StepLimit | Termination::DeadlineExceeded | Termination::EngineError(_)
         )
     }
 }
@@ -605,9 +602,7 @@ mod tests {
             }
         "#;
         let outputs: std::collections::HashSet<String> = (0..32)
-            .map(|seed| {
-                run(source, &mut RandomScheduler::seeded(seed)).output[0].clone()
-            })
+            .map(|seed| run(source, &mut RandomScheduler::seeded(seed)).output[0].clone())
             .collect();
         assert_eq!(outputs.len(), 2, "both final values observed: {outputs:?}");
     }
@@ -645,11 +640,7 @@ mod tests {
         assert!(outcome.steps <= 500);
     }
 
-    fn run_limited(
-        source: &str,
-        scheduler: &mut dyn Scheduler,
-        limits: Limits,
-    ) -> RunOutcome {
+    fn run_limited(source: &str, scheduler: &mut dyn Scheduler, limits: Limits) -> RunOutcome {
         let program = cil::compile(source).unwrap();
         run_with(&program, "main", scheduler, &mut NullObserver, limits).unwrap()
     }

@@ -608,7 +608,9 @@ mod tests {
         assert!(exec.field_caches.iter().all(|entry| *entry == EMPTY_CACHE));
         loop {
             let enabled = exec.enabled();
-            let Some(&thread) = enabled.first() else { break };
+            let Some(&thread) = enabled.first() else {
+                break;
+            };
             exec.step(thread, &mut NullObserver);
         }
         assert_eq!(exec.output(), ["10".to_string()]);
@@ -738,7 +740,9 @@ mod tests {
                 assert_eq!(bytecode.is_enabled(thread), tree.is_enabled(thread));
             }
             let enabled = bytecode.enabled();
-            let Some(&choice) = enabled.first() else { break };
+            let Some(&choice) = enabled.first() else {
+                break;
+            };
             bytecode.step(choice, &mut NullObserver);
             tree.step(choice, &mut NullObserver);
         }
@@ -747,10 +751,7 @@ mod tests {
 
     #[test]
     fn engine_survives_reset_and_restore() {
-        let program = cil::compile(
-            "global x = 0; proc main() { x = x + 1; print x; }",
-        )
-        .unwrap();
+        let program = cil::compile("global x = 0; proc main() { x = x + 1; print x; }").unwrap();
         let mut exec = Execution::new(&program, "main").unwrap();
         exec.set_engine(ExecEngine::TreeWalk);
         exec.reset("main").unwrap();

@@ -2,8 +2,7 @@
 //! workload models (and the JDK bugs they reproduce) depend on them.
 
 use interp::{
-    run_with, Limits, NullObserver, RandomScheduler, RoundRobinScheduler, RunOutcome,
-    Termination,
+    run_with, Limits, NullObserver, RandomScheduler, RoundRobinScheduler, RunOutcome, Termination,
 };
 
 fn run_rr(source: &str, quantum: u64) -> (cil::Program, RunOutcome) {

@@ -37,8 +37,7 @@ fn run_random(source: &str, seed: u64) -> (cil::Program, RunOutcome) {
 
 #[test]
 fn arithmetic_and_control_flow() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         proc main() {
             var total = 0;
             var i = 1;
@@ -51,16 +50,14 @@ fn arithmetic_and_control_flow() {
             print 7 % 2;
             print -3;
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["ok", "3", "1", "-3"]);
     assert_eq!(outcome.termination, Termination::AllExited);
 }
 
 #[test]
 fn objects_arrays_and_len() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         class Node { value, next }
         proc main() {
             var head = new Node;
@@ -73,15 +70,13 @@ fn objects_arrays_and_len() {
             arr[2] = len(arr);
             print arr[0] + arr[1] + arr[2];
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["33"]);
 }
 
 #[test]
 fn procedure_calls_and_recursion() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         proc fib(n) {
             if (n < 2) { return n; }
             var a = fib(n - 1);
@@ -89,15 +84,13 @@ fn procedure_calls_and_recursion() {
             return a + b;
         }
         proc main() { var r = fib(10); print r; }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["55"]);
 }
 
 #[test]
 fn division_by_zero_throws_catchable_exception() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         proc main() {
             try {
                 var x = 1 / 0;
@@ -106,8 +99,7 @@ fn division_by_zero_throws_catchable_exception() {
                 print "caught";
             }
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["caught"]);
     assert!(outcome.uncaught.is_empty());
 }
@@ -127,8 +119,7 @@ fn uncaught_exception_kills_thread_and_is_reported() {
 
 #[test]
 fn null_pointer_and_bounds_exceptions() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         proc main() {
             var n;
             try { n.field = 1; } catch (NullPointerException) { print "npe"; }
@@ -137,23 +128,20 @@ fn null_pointer_and_bounds_exceptions() {
             try { a[0-1] = 1; } catch (ArrayIndexOutOfBoundsException) { print "neg"; }
             try { var b = new [0-3]; } catch (ArrayIndexOutOfBoundsException) { print "negsize"; }
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["npe", "oob", "neg", "negsize"]);
 }
 
 #[test]
 fn type_errors_are_catchable() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         proc main() {
             try { var x = 1 + true; } catch (TypeError) { print "t1"; }
             try { if (3) { nop; } } catch (TypeError) { print "t2"; }
             var o = new [1];
             try { o.missing = 1; } catch (TypeError) { print "t3"; }
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["t1", "t2", "t3"]);
 }
 
@@ -174,8 +162,7 @@ fn assert_failure_throws_assertion_error() {
 
 #[test]
 fn catch_filter_skips_unmatched_and_rethrows_outward() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         proc main() {
             try {
                 try { throw Inner; } catch (Other) { print "wrong"; }
@@ -183,15 +170,13 @@ fn catch_filter_skips_unmatched_and_rethrows_outward() {
                 print "outer caught";
             }
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["outer caught"]);
 }
 
 #[test]
 fn exception_propagates_across_call_frames() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         proc deep(n) {
             if (n == 0) { throw Deep; }
             deep(n - 1);
@@ -199,8 +184,7 @@ fn exception_propagates_across_call_frames() {
         proc main() {
             try { deep(5); } catch (Deep) { print "unwound"; }
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["unwound"]);
 }
 
@@ -233,23 +217,20 @@ fn sync_releases_monitor_on_exception() {
 
 #[test]
 fn reentrant_monitor_allows_nested_sync() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         class Lock { }
         global l;
         proc main() {
             l = new Lock;
             sync (l) { sync (l) { print "nested"; } print "inner released"; }
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["nested", "inner released"]);
 }
 
 #[test]
 fn unlock_without_hold_is_illegal_monitor_state() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         class Lock { }
         global l;
         proc main() {
@@ -258,8 +239,7 @@ fn unlock_without_hold_is_illegal_monitor_state() {
             try { wait l; } catch (IllegalMonitorStateException) { print "imse2"; }
             try { notify l; } catch (IllegalMonitorStateException) { print "imse3"; }
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["imse", "imse2", "imse3"]);
 }
 
@@ -418,8 +398,7 @@ fn interrupt_during_sleep_throws() {
 
 #[test]
 fn interrupt_flag_cleared_after_interrupted_exception() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         proc worker() {
             try { sleep 1; } catch (InterruptedException) { print "first"; }
             // Flag was consumed; a second sleep succeeds.
@@ -431,8 +410,7 @@ fn interrupt_flag_cleared_after_interrupted_exception() {
             interrupt t;
             join t;
         }
-        "#,
-    );
+        "#);
     // run-to-block runs main (spawn, interrupt) ... then join blocks and the
     // worker runs with the flag already set.
     assert_eq!(outcome.output, vec!["first", "second"]);
@@ -457,8 +435,7 @@ fn join_returns_after_child_exit_and_sees_writes() {
 
 #[test]
 fn spawn_passes_arguments_by_value() {
-    let outcome = run(
-        r#"
+    let outcome = run(r#"
         global sum = 0;
         class Lock { }
         global l;
@@ -470,8 +447,7 @@ fn spawn_passes_arguments_by_value() {
             join t1; join t2;
             print sum;
         }
-        "#,
-    );
+        "#);
     assert_eq!(outcome.output, vec!["33"]);
 }
 
@@ -501,10 +477,13 @@ fn event_stream_has_paper_shape() {
     .unwrap();
     assert_eq!(outcome.termination, Termination::AllExited);
 
-    let mem_with_lock = recorder.events.iter().any(|event| {
-        matches!(event, Event::Mem { is_write: true, locks, .. } if !locks.is_empty())
-    });
-    assert!(mem_with_lock, "write to x under the monitor carries lockset");
+    let mem_with_lock = recorder.events.iter().any(
+        |event| matches!(event, Event::Mem { is_write: true, locks, .. } if !locks.is_empty()),
+    );
+    assert!(
+        mem_with_lock,
+        "write to x under the monitor carries lockset"
+    );
 
     let sends = recorder
         .events
@@ -565,10 +544,7 @@ fn next_access_none_for_faulting_address() {
     let mut exec = Execution::new(&program, "main").unwrap();
     let main = interp::ThreadId(0);
     // Step through `var o;` (one Assign).
-    assert_eq!(
-        exec.step(main, &mut NullObserver),
-        interp::StepResult::Ran
-    );
+    assert_eq!(exec.step(main, &mut NullObserver), interp::StepResult::Ran);
     assert_eq!(exec.next_access(main), None);
 }
 
@@ -656,7 +632,10 @@ fn output_and_steps_are_identical_across_replays() {
         .unwrap();
         assert_eq!(first.steps, second.steps);
         assert_eq!(first.output, second.output);
-        assert_eq!(first_events.events, second_events.events, "event-level replay");
+        assert_eq!(
+            first_events.events, second_events.events,
+            "event-level replay"
+        );
     }
 }
 

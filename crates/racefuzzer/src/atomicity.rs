@@ -125,13 +125,10 @@ pub fn fuzz_atomicity_once(
         // The payoff move: a thread is mid-region and a postponed remote
         // access targets the same location → inject it now.
         if let Some((region_thread, loc)) = mid_region.first().copied() {
-            let injectable = postponed
-                .iter()
-                .map(|&(thread, _)| thread)
-                .find(|&thread| {
-                    exec.next_access(thread)
-                        .is_some_and(|access| access.loc == loc)
-                });
+            let injectable = postponed.iter().map(|&(thread, _)| thread).find(|&thread| {
+                exec.next_access(thread)
+                    .is_some_and(|access| access.loc == loc)
+            });
             if let Some(remote_thread) = injectable {
                 violations.push(ViolationEvent {
                     step: exec.steps(),

@@ -179,7 +179,8 @@ pub fn hunt_deadlocks(
     entry: &str,
     options: &DeadlockOptions,
 ) -> Result<DeadlockHuntReport, SetupError> {
-    let candidates = predict_deadlocks(program, entry, options.observation_runs, options.max_cycle)?;
+    let candidates =
+        predict_deadlocks(program, entry, options.observation_runs, options.max_cycle)?;
     let mut confirmations = Vec::with_capacity(candidates.len());
     for candidate in &candidates {
         confirmations.push(confirm_deadlock(program, entry, candidate, options)?);

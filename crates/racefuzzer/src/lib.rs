@@ -95,10 +95,5 @@ pub fn replay(
     pair: RacePair,
     seed: u64,
 ) -> Result<FuzzOutcome, SetupError> {
-    fuzz_pair_once(
-        program,
-        entry,
-        pair,
-        &FuzzConfig::seeded(seed).recording(),
-    )
+    fuzz_pair_once(program, entry, pair, &FuzzConfig::seeded(seed).recording())
 }

@@ -46,12 +46,7 @@ pub fn render_trace(
     pair: RacePair,
     seed: u64,
 ) -> Result<String, SetupError> {
-    let outcome = fuzz_pair_once(
-        program,
-        entry,
-        pair,
-        &FuzzConfig::seeded(seed).recording(),
-    )?;
+    let outcome = fuzz_pair_once(program, entry, pair, &FuzzConfig::seeded(seed).recording())?;
     let schedule = outcome
         .schedule
         .clone()
@@ -134,10 +129,7 @@ mod tests {
     #[test]
     fn trace_covers_every_step_and_marks_races() {
         let program = racy_program();
-        let pair = RacePair::new(
-            program.tagged_access("w"),
-            program.tagged_access("r"),
-        );
+        let pair = RacePair::new(program.tagged_access("w"), program.tagged_access("r"));
         let trace = render_trace(&program, "main", pair, 1).unwrap();
         assert!(trace.contains("REAL RACE"), "{trace}");
         assert!(trace.contains("t0"), "{trace}");
@@ -151,10 +143,7 @@ mod tests {
     #[test]
     fn trace_is_deterministic() {
         let program = racy_program();
-        let pair = RacePair::new(
-            program.tagged_access("w"),
-            program.tagged_access("r"),
-        );
+        let pair = RacePair::new(program.tagged_access("w"), program.tagged_access("r"));
         let a = render_trace(&program, "main", pair, 9).unwrap();
         let b = render_trace(&program, "main", pair, 9).unwrap();
         assert_eq!(a, b);
@@ -163,10 +152,7 @@ mod tests {
     #[test]
     fn different_seeds_render_different_traces() {
         let program = racy_program();
-        let pair = RacePair::new(
-            program.tagged_access("w"),
-            program.tagged_access("r"),
-        );
+        let pair = RacePair::new(program.tagged_access("w"), program.tagged_access("r"));
         let traces: std::collections::HashSet<String> = (0..10)
             .map(|seed| render_trace(&program, "main", pair, seed).unwrap())
             .collect();

@@ -44,8 +44,7 @@ fn split_region_is_race_free_but_not_atomic() {
     let program = split_region_bank();
     // A race detector is silent: every access holds the lock.
     let races =
-        detector::predict_races(&program, "main", &detector::PredictConfig::with_runs(10))
-            .unwrap();
+        detector::predict_races(&program, "main", &detector::PredictConfig::with_runs(10)).unwrap();
     assert!(races.is_empty(), "no data race exists: {races:?}");
 
     // The atomicity pipeline predicts and forces the violation.
@@ -114,10 +113,8 @@ fn violation_replays_from_seed() {
         .find(|r| r.is_real())
         .expect("a real violation exists");
     let seed = pair.first_seed.expect("violating seed recorded");
-    let a = fuzz_atomicity_once(&program, "main", &pair.target, &FuzzConfig::seeded(seed))
-        .unwrap();
-    let b = fuzz_atomicity_once(&program, "main", &pair.target, &FuzzConfig::seeded(seed))
-        .unwrap();
+    let a = fuzz_atomicity_once(&program, "main", &pair.target, &FuzzConfig::seeded(seed)).unwrap();
+    let b = fuzz_atomicity_once(&program, "main", &pair.target, &FuzzConfig::seeded(seed)).unwrap();
     assert!(a.violated());
     assert_eq!(a.violations, b.violations);
     assert_eq!(a.steps, b.steps);

@@ -59,17 +59,14 @@ fn figure1_hybrid_predicts_z_and_x_but_not_y() {
     let program = figure1();
     let races = predict_races(&program, "main", &PredictConfig::with_runs(30)).unwrap();
 
-    let z_pair = RacePair::new(
-        program.tagged_access("s5"),
-        program.tagged_access("s7"),
-    );
-    let x_pair = RacePair::new(
-        program.tagged_access("s1"),
-        program.tagged_access("s10"),
-    );
+    let z_pair = RacePair::new(program.tagged_access("s5"), program.tagged_access("s7"));
+    let x_pair = RacePair::new(program.tagged_access("s1"), program.tagged_access("s10"));
     let y_write = program.tagged_access("s3");
 
-    assert!(races.contains(&z_pair), "real race on z predicted: {races:?}");
+    assert!(
+        races.contains(&z_pair),
+        "real race on z predicted: {races:?}"
+    );
     assert!(
         races.contains(&x_pair),
         "hybrid's false alarm on x predicted: {races:?}"
@@ -125,7 +122,10 @@ fn figure1_full_pipeline_classifies_exactly_the_real_races() {
     // The false x-alarm (and any other prediction) must not be confirmed.
     let x_pair = RacePair::new(program.tagged_access("s1"), program.tagged_access("s10"));
     assert!(!real.contains(&x_pair));
-    assert!(report.potential.len() > real.len(), "some predictions were false");
+    assert!(
+        report.potential.len() > real.len(),
+        "some predictions were false"
+    );
 }
 
 /// The paper's Figure 2 with `pad` statements between the lock release and
@@ -164,10 +164,7 @@ fn figure2(pad: usize) -> cil::Program {
 fn figure2_racefuzzer_hits_with_probability_one_regardless_of_padding() {
     for pad in [1usize, 20, 100] {
         let program = figure2(pad);
-        let pair = RacePair::new(
-            program.tagged_access("s8"),
-            program.tagged_access("s10"),
-        );
+        let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
         let report = fuzz_pair(&program, "main", pair, 40, 1, &FuzzConfig::default()).unwrap();
         assert_eq!(
             report.hits, report.trials,
@@ -212,10 +209,7 @@ fn figure2_simple_random_probability_decays_with_padding() {
 #[test]
 fn replay_reproduces_schedule_races_and_exceptions() {
     let program = figure2(30);
-    let pair = RacePair::new(
-        program.tagged_access("s8"),
-        program.tagged_access("s10"),
-    );
+    let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
     for seed in [3u64, 17, 99] {
         let first = racefuzzer::replay(&program, "main", pair, seed).unwrap();
         let second = racefuzzer::replay(&program, "main", pair, seed).unwrap();
@@ -233,15 +227,11 @@ fn replay_reproduces_schedule_races_and_exceptions() {
 #[test]
 fn different_seeds_explore_both_race_resolutions() {
     let program = figure2(10);
-    let pair = RacePair::new(
-        program.tagged_access("s8"),
-        program.tagged_access("s10"),
-    );
+    let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
     let mut with_error = 0;
     let mut without_error = 0;
     for seed in 0..30 {
-        let outcome =
-            fuzz_pair_once(&program, "main", pair, &FuzzConfig::seeded(seed)).unwrap();
+        let outcome = fuzz_pair_once(&program, "main", pair, &FuzzConfig::seeded(seed)).unwrap();
         assert!(outcome.race_created(), "seed {seed}");
         if outcome.uncaught.is_empty() {
             without_error += 1;
@@ -256,10 +246,7 @@ fn different_seeds_explore_both_race_resolutions() {
 #[test]
 fn race_report_carries_location_and_threads() {
     let program = figure2(5);
-    let pair = RacePair::new(
-        program.tagged_access("s8"),
-        program.tagged_access("s10"),
-    );
+    let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
     let outcome = fuzz_pair_once(&program, "main", pair, &FuzzConfig::seeded(1)).unwrap();
     assert!(outcome.race_created());
     let event = &outcome.races[0];

@@ -36,10 +36,7 @@ fn figure2_program(pad: usize) -> cil::Program {
 #[test]
 fn sync_switching_preserves_probability_one() {
     let program = figure2_program(60);
-    let pair = RacePair::new(
-        program.tagged_access("s8"),
-        program.tagged_access("s10"),
-    );
+    let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
     let mut errors = 0;
     for seed in 0..40 {
         let config = FuzzConfig {
@@ -120,10 +117,7 @@ fn sync_switching_takes_fewer_scheduling_decisions() {
 #[test]
 fn sync_switching_replays_exactly() {
     let program = figure2_program(25);
-    let pair = RacePair::new(
-        program.tagged_access("s8"),
-        program.tagged_access("s10"),
-    );
+    let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
     for seed in [1u64, 13, 77] {
         let config = FuzzConfig {
             seed,

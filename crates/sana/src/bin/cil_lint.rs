@@ -39,7 +39,9 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use sana::lint::{lint_named, lint_program, race_candidate_lints, race_candidates_named, Diagnostic};
+use sana::lint::{
+    lint_named, lint_program, race_candidate_lints, race_candidates_named, Diagnostic,
+};
 
 fn usage() -> ExitCode {
     eprintln!(

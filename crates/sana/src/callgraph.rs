@@ -231,9 +231,8 @@ mod tests {
 
     #[test]
     fn straight_line_counts_are_one() {
-        let (program, _, graph) = build(
-            "proc helper() { var x = 1; print x; } proc main() { helper(); helper(); }",
-        );
+        let (program, _, graph) =
+            build("proc helper() { var x = 1; print x; } proc main() { helper(); helper(); }");
         let helper = program.proc_named("helper").unwrap();
         assert_eq!(graph.invocations(helper), ExecCount::Many, "two call sites");
         let main = program.proc_named("main").unwrap();

@@ -45,8 +45,7 @@ pub struct CandidateStats {
 impl CandidateStats {
     /// Total refuted conflicting pairs.
     pub fn refuted(&self) -> usize {
-        self.refuted_mhp + self.refuted_common_lock + self.refuted_confined
-            + self.refuted_footprint
+        self.refuted_mhp + self.refuted_common_lock + self.refuted_confined + self.refuted_footprint
     }
 }
 
@@ -160,10 +159,7 @@ mod tests {
             }
             "#,
         );
-        let pair = RacePair::new(
-            program.tagged_access("r1"),
-            program.tagged_access("r2"),
-        );
+        let pair = RacePair::new(program.tagged_access("r1"), program.tagged_access("r2"));
         assert!(!report.contains(&pair));
     }
 

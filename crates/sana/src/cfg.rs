@@ -245,7 +245,12 @@ fn local_may_throw(instr: &Instr, has_interrupt: bool) -> bool {
             !matches!(cond, PureExpr::Const(cil::flat::Const::Bool(true)))
         }
         // Null dereference / index out of bounds.
-        Instr::LoadField { .. } | Instr::StoreField { obj: _, field: _, src: _ } => true,
+        Instr::LoadField { .. }
+        | Instr::StoreField {
+            obj: _,
+            field: _,
+            src: _,
+        } => true,
         Instr::LoadElem { .. } | Instr::StoreElem { .. } => true,
         // Negative array length.
         Instr::NewArray { len, .. } => {
@@ -265,9 +270,7 @@ fn local_may_throw(instr: &Instr, has_interrupt: bool) -> bool {
         Instr::Return { value } | Instr::Print { value } => {
             value.as_ref().is_some_and(expr_may_throw)
         }
-        Instr::Spawn { args, .. } | Instr::Call { args, .. } => {
-            args.iter().any(expr_may_throw)
-        }
+        Instr::Spawn { args, .. } | Instr::Call { args, .. } => args.iter().any(expr_may_throw),
         Instr::LoadGlobal { .. }
         | Instr::New { .. }
         | Instr::Interrupt { .. }
@@ -310,10 +313,9 @@ mod tests {
 
     #[test]
     fn loop_body_is_on_a_cycle() {
-        let program = cil::compile(
-            "proc main() { var i = 0; while (i < 3) { i = i + 1; } print i; }",
-        )
-        .unwrap();
+        let program =
+            cil::compile("proc main() { var i = 0; while (i < 3) { i = i + 1; } print i; }")
+                .unwrap();
         let cfg = Cfg::build(&program);
         let cyclic = (0..program.instr_count())
             .filter(|&index| cfg.on_cycle(InstrId(index as u32)))
@@ -346,10 +348,8 @@ mod tests {
 
     #[test]
     fn join_throws_only_with_interrupt_present() {
-        let quiet = cil::compile(
-            "proc child() { } proc main() { var t = spawn child(); join t; }",
-        )
-        .unwrap();
+        let quiet = cil::compile("proc child() { } proc main() { var t = spawn child(); join t; }")
+            .unwrap();
         let cfg = Cfg::build(&quiet);
         let join = quiet
             .instrs
@@ -390,7 +390,10 @@ mod tests {
             .map(|(index, _)| index)
             .collect();
         assert_eq!(calls.len(), 2);
-        assert!(!cfg.may_throw(InstrId(calls[0] as u32)), "quiet() cannot throw");
+        assert!(
+            !cfg.may_throw(InstrId(calls[0] as u32)),
+            "quiet() cannot throw"
+        );
         assert!(cfg.may_throw(InstrId(calls[1] as u32)), "boom() throws");
     }
 }

@@ -92,7 +92,13 @@ impl EscapeAnalysis {
     /// escapes its creating thread? Such accesses cannot race: only the
     /// allocating thread can ever reach the object. The base register
     /// comes from the bytecode footprint table — the shared access view.
-    pub fn confined_access(&self, program: &Program, cfg: &Cfg, pts: &PointsTo, id: InstrId) -> bool {
+    pub fn confined_access(
+        &self,
+        program: &Program,
+        cfg: &Cfg,
+        pts: &PointsTo,
+        id: InstrId,
+    ) -> bool {
         let accesses = program.bytecode().accesses_of(id);
         if accesses.is_empty() {
             return false;
@@ -193,12 +199,7 @@ mod tests {
             "#,
         );
         assert!(escape.confined_access(&program, &cfg, &pts, program.tagged_access("caller")));
-        assert!(escape.confined_access(
-            &program,
-            &cfg,
-            &pts,
-            program.tagged_accesses("callee")[0]
-        ));
+        assert!(escape.confined_access(&program, &cfg, &pts, program.tagged_accesses("callee")[0]));
     }
 
     #[test]

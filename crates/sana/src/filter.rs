@@ -196,8 +196,12 @@ impl StaticRaceFilter {
 
         // One confined side suffices: a race partner would have to reach an
         // object only the creating thread can see.
-        if self.escape.confined_access(program, &self.cfg, &self.points_to, a)
-            || self.escape.confined_access(program, &self.cfg, &self.points_to, b)
+        if self
+            .escape
+            .confined_access(program, &self.cfg, &self.points_to, a)
+            || self
+                .escape
+                .confined_access(program, &self.cfg, &self.points_to, b)
         {
             return Some(PruneReason::ThreadConfined);
         }
@@ -410,7 +414,10 @@ mod tests {
         // many-times allocation site: no common-lock proof. (It is still a
         // single object dynamically, but the analysis cannot know.)
         let pair = RacePair::new(program.tagged_access("w"), program.tagged_access("w"));
-        assert_ne!(filter.refute(&program, &pair), Some(PruneReason::CommonLock));
+        assert_ne!(
+            filter.refute(&program, &pair),
+            Some(PruneReason::CommonLock)
+        );
     }
 
     #[test]
@@ -442,7 +449,10 @@ mod tests {
             "#,
         );
         let pair = RacePair::new(program.tagged_access("w"), program.tagged_access("m"));
-        assert_eq!(filter.refute(&program, &pair), Some(PruneReason::CommonLock));
+        assert_eq!(
+            filter.refute(&program, &pair),
+            Some(PruneReason::CommonLock)
+        );
     }
 
     #[test]

@@ -538,8 +538,14 @@ mod tests {
             "#,
         );
         let found = kinds(&diagnostics);
-        assert!(found.contains(&LintKind::LockOrderInversion), "{diagnostics:?}");
-        assert!(!found.contains(&LintKind::LockOrderCycle), "{diagnostics:?}");
+        assert!(
+            found.contains(&LintKind::LockOrderInversion),
+            "{diagnostics:?}"
+        );
+        assert!(
+            !found.contains(&LintKind::LockOrderCycle),
+            "{diagnostics:?}"
+        );
     }
 
     #[test]

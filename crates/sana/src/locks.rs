@@ -125,7 +125,8 @@ impl LockAnalysis {
 
     /// May the two slots hold a common runtime object?
     pub fn may_alias(&self, a: (ProcId, LocalId), b: (ProcId, LocalId)) -> bool {
-        self.value_set(a.0, a.1).may_overlap(self.value_set(b.0, b.1))
+        self.value_set(a.0, a.1)
+            .may_overlap(self.value_set(b.0, b.1))
     }
 
     /// The single allocation site both slots certainly name, if their value
@@ -133,7 +134,8 @@ impl LockAnalysis {
     /// most once per run (so "same site" means "same object") is the
     /// caller's [`ExecCount`](crate::callgraph::ExecCount) question.
     pub fn must_alias(&self, a: (ProcId, LocalId), b: (ProcId, LocalId)) -> Option<InstrId> {
-        self.value_set(a.0, a.1).must_alias(self.value_set(b.0, b.1))
+        self.value_set(a.0, a.1)
+            .must_alias(self.value_set(b.0, b.1))
     }
 }
 
@@ -147,7 +149,10 @@ fn may_release_sets(program: &Program, cfg: &Cfg, values: &[Vec<ValueSet>]) -> V
             match instr {
                 // `sync` unlocks are balanced by the callee's own acquires;
                 // only raw unlocks can release a caller's lock.
-                Instr::Unlock { obj, monitor: false } => {
+                Instr::Unlock {
+                    obj,
+                    monitor: false,
+                } => {
                     let set = &values[proc][obj.index()];
                     if set.unknown && !release[proc].all {
                         release[proc].all = true;
@@ -188,9 +193,9 @@ fn must_locksets(
     let mut worklist: Vec<InstrId> = Vec::new();
 
     let meet = |state: &mut Vec<Option<BTreeSet<InstrId>>>,
-                    worklist: &mut Vec<InstrId>,
-                    to: InstrId,
-                    incoming: &BTreeSet<InstrId>| {
+                worklist: &mut Vec<InstrId>,
+                to: InstrId,
+                incoming: &BTreeSet<InstrId>| {
         let slot = &mut state[to.index()];
         let changed = match slot {
             None => {

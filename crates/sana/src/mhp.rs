@@ -111,9 +111,12 @@ impl Mhp {
     /// May `a` and `b` execute concurrently (in distinct threads, or in two
     /// live instances of the same spawn site)?
     pub fn may_happen_in_parallel(&self, a: InstrId, b: InstrId) -> bool {
-        self.thread_code.iter().zip(&self.conc_with).any(|(code, conc)| {
-            (code[a.index()] && conc[b.index()]) || (code[b.index()] && conc[a.index()])
-        })
+        self.thread_code
+            .iter()
+            .zip(&self.conc_with)
+            .any(|(code, conc)| {
+                (code[a.index()] && conc[b.index()]) || (code[b.index()] && conc[a.index()])
+            })
     }
 
     /// Did site `position`'s liveness escape its thread lineage (forcing the
@@ -207,10 +210,9 @@ fn conc_with_site(
             match instr {
                 Instr::Call { proc, .. } if !closure_added[proc.index()] => {
                     closure_added[proc.index()] = true;
-                    for (index, member) in
-                        proc_set_to_instrs(program, graph.thread_closure(*proc))
-                            .into_iter()
-                            .enumerate()
+                    for (index, member) in proc_set_to_instrs(program, graph.thread_closure(*proc))
+                        .into_iter()
+                        .enumerate()
                     {
                         if member {
                             concurrent[index] = true;
@@ -273,7 +275,9 @@ fn conc_with_site(
                     Some(_) => Some(BTreeSet::new()),
                 };
             }
-            let Some(aliases) = &incoming else { return None };
+            let Some(aliases) = &incoming else {
+                return None;
+            };
             match instr {
                 Instr::Join { thread } if aliases.contains(thread) => match kind {
                     // A joined must-alias proves the thread terminated.

@@ -403,7 +403,11 @@ impl<'p> Solver<'p> {
                         self.add_store(base, HeapKey::Elems, from);
                     }
                 }
-                Instr::Call { dst, proc: callee, args } => {
+                Instr::Call {
+                    dst,
+                    proc: callee,
+                    args,
+                } => {
                     self.bind_args(proc, *callee, args);
                     if let Some(dst) = dst {
                         let from = self.return_base + callee.index();
@@ -411,7 +415,9 @@ impl<'p> Solver<'p> {
                         self.add_edge(from, to);
                     }
                 }
-                Instr::Spawn { proc: callee, args, .. } => {
+                Instr::Spawn {
+                    proc: callee, args, ..
+                } => {
                     // Thread handles are opaque; the spawn's dst slot gains
                     // no allocation site.
                     self.bind_args(proc, *callee, args);

@@ -34,11 +34,13 @@ use std::collections::BTreeMap;
 /// fresh allocation into a field.
 fn render_program(threads: &[Vec<u8>], boxes: usize, publish: usize) -> String {
     use std::fmt::Write as _;
-    let mut source = String::from(
-        "class Node { value, next }\nclass Lock { }\nglobal shared;\nglobal lk;\n",
-    );
+    let mut source =
+        String::from("class Node { value, next }\nclass Lock { }\nglobal shared;\nglobal lk;\n");
     for (t, ops) in threads.iter().enumerate() {
-        let _ = writeln!(source, "proc worker{t}(p) {{\n    var tmp = 0;\n    var q = 0;");
+        let _ = writeln!(
+            source,
+            "proc worker{t}(p) {{\n    var tmp = 0;\n    var q = 0;"
+        );
         for &mode in ops {
             match mode % 6 {
                 0 => source.push_str("    tmp = p.value;\n"),

@@ -800,7 +800,13 @@ mod tests {
         // Under run-to-block scheduling each driver thread runs to
         // completion in turn, so the single-threaded semantics of the
         // library (the developers' mental model!) must hold: no exceptions.
-        for workload in [vector(), linked_list(), array_list(), hash_set(), tree_set()] {
+        for workload in [
+            vector(),
+            linked_list(),
+            array_list(),
+            hash_set(),
+            tree_set(),
+        ] {
             let outcome = run_with(
                 &workload.program,
                 workload.entry,

@@ -134,7 +134,8 @@ mod tests {
                 .proc_named(workload.entry)
                 .unwrap_or_else(|| panic!("{}: entry missing", workload.name));
             assert_eq!(
-                workload.program.procs[proc.index()].param_count, 0,
+                workload.program.procs[proc.index()].param_count,
+                0,
                 "{}: entry takes params",
                 workload.name
             );

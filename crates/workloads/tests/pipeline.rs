@@ -28,7 +28,11 @@ fn analyze_workload(workload: &Workload, trials: usize) -> racefuzzer::AnalysisR
 fn raytracer_all_predictions_are_real_and_benign() {
     let workload = workloads::raytracer();
     let report = analyze_workload(&workload, 20);
-    assert_eq!(report.potential.len(), 2, "checksum load/store + store/store");
+    assert_eq!(
+        report.potential.len(),
+        2,
+        "checksum load/store + store/store"
+    );
     assert_eq!(report.real_races().len(), 2, "both confirmed");
     assert!(report.exception_pairs().is_empty(), "benign races");
     // Paper column 11: probability 1.00.
@@ -41,7 +45,11 @@ fn raytracer_all_predictions_are_real_and_benign() {
 fn montecarlo_one_real_race_among_false_alarms() {
     let workload = workloads::montecarlo();
     let report = analyze_workload(&workload, 20);
-    assert_eq!(report.potential.len(), 5, "4 handshake false alarms + 1 real");
+    assert_eq!(
+        report.potential.len(),
+        5,
+        "4 handshake false alarms + 1 real"
+    );
     let real = report.real_races();
     assert_eq!(real.len(), 1, "only the result store is real: {real:?}");
     let store = workload.program.tagged_access("result_store");
@@ -57,10 +65,7 @@ fn moldyn_barrier_races_are_real_but_benign() {
     // The two spinning reads against the generation bump (the paper's "2
     // real races (but benign)").
     let bump = workload.program.tagged_access("bar_bump");
-    let confirmed_barrier: Vec<_> = real
-        .iter()
-        .filter(|pair| pair.contains(bump))
-        .collect();
+    let confirmed_barrier: Vec<_> = real.iter().filter(|pair| pair.contains(bump)).collect();
     assert_eq!(
         confirmed_barrier.len(),
         2,
@@ -84,7 +89,9 @@ fn moldyn_barrier_races_are_real_but_benign() {
         report.potential
     );
     assert!(
-        !real.iter().any(|pair| pair.contains(write) && pair.contains(read)),
+        !real
+            .iter()
+            .any(|pair| pair.contains(write) && pair.contains(read)),
         "…but never confirmed"
     );
     // Many false alarms, few real races — the paper's moldyn shape (59 vs 2).
@@ -132,13 +139,14 @@ fn cache4j_sleep_race_raises_interrupted_exception() {
         "the paper's §5.3 cache4j race is confirmed"
     );
     assert!(
-        report
-            .exception_names()
-            .contains("InterruptedException"),
+        report.exception_names().contains("InterruptedException"),
         "the race kills the cleaner: {:?}",
         report.exception_names()
     );
-    assert!(report.potential.len() > real.len(), "handshake false alarms");
+    assert!(
+        report.potential.len() > real.len(),
+        "handshake false alarms"
+    );
 }
 
 #[test]
@@ -181,7 +189,11 @@ fn weblech_stale_index_race_raises_bounds_exception() {
 fn jigsaw_counters_real_config_false() {
     let workload = workloads::jigsaw();
     let report = analyze_workload(&workload, 8);
-    assert_eq!(report.potential.len(), 52, "40 false alarms + 12 counter pairs");
+    assert_eq!(
+        report.potential.len(),
+        52,
+        "40 false alarms + 12 counter pairs"
+    );
     assert_eq!(report.real_races().len(), 12, "{:?}", report.real_races());
     assert!(report.exception_pairs().is_empty());
 }
@@ -197,7 +209,10 @@ fn vector_races_all_real_none_harmful() {
         "every Vector prediction is real: {:?}",
         report.potential
     );
-    assert!(report.exception_pairs().is_empty(), "benign fast-path reads");
+    assert!(
+        report.exception_pairs().is_empty(),
+        "benign fast-path reads"
+    );
 }
 
 #[test]

@@ -8,12 +8,7 @@ use cil::validate::validate;
 fn every_workload_program_validates() {
     for workload in workloads::all() {
         let errors = validate(&workload.program);
-        assert!(
-            errors.is_empty(),
-            "{}: {:?}",
-            workload.name,
-            errors
-        );
+        assert!(errors.is_empty(), "{}: {:?}", workload.name, errors);
     }
 }
 

@@ -46,14 +46,17 @@ fn main() {
     .expect("the example program is valid CIL");
 
     // Race mode: silent, correctly.
-    let races = predict_races(&program, "main", &PredictConfig::with_runs(10))
-        .expect("prediction runs");
-    println!("data races predicted: {} (all accesses are locked)", races.len());
+    let races =
+        predict_races(&program, "main", &PredictConfig::with_runs(10)).expect("prediction runs");
+    println!(
+        "data races predicted: {} (all accesses are locked)",
+        races.len()
+    );
     assert!(races.is_empty());
 
     // Atomicity mode: predicts the split region and forces the bug.
-    let report = analyze_atomicity(&program, "main", 50, 1, &FuzzConfig::default())
-        .expect("analysis runs");
+    let report =
+        analyze_atomicity(&program, "main", 50, 1, &FuzzConfig::default()).expect("analysis runs");
     println!(
         "split-region candidates predicted: {}",
         report.candidates.len()

@@ -15,11 +15,7 @@ fn main() {
     let jobs = || {
         vec![
             CampaignJob::new("figure1", racefuzzer_suite::workloads::figure1(), "main"),
-            CampaignJob::new(
-                "figure2",
-                racefuzzer_suite::workloads::figure2(3),
-                "main",
-            ),
+            CampaignJob::new("figure2", racefuzzer_suite::workloads::figure2(3), "main"),
         ]
     };
     let options = CampaignOptions {
@@ -42,7 +38,10 @@ fn main() {
     .expect("campaign I/O works");
     assert!(first.interrupted);
     let done_pairs: usize = first.jobs.iter().map(|job| job.reports.len()).sum();
-    println!("interrupted after {done_pairs} pair(s); checkpoint at {}", checkpoint.display());
+    println!(
+        "interrupted after {done_pairs} pair(s); checkpoint at {}",
+        checkpoint.display()
+    );
 
     // --- 2. A fresh Campaign value (fresh process, as far as the driver
     // can tell) resumes from the checkpoint and finishes the rest.
@@ -85,8 +84,11 @@ fn main() {
     let report = starved.run().expect("campaign I/O works");
     assert!(report.completed());
     let quarantined = report.quarantine_count();
-    println!("\nstarved campaign: {} pair(s) quarantined, {} failure(s) recorded",
-        quarantined, report.failure_count());
+    println!(
+        "\nstarved campaign: {} pair(s) quarantined, {} failure(s) recorded",
+        quarantined,
+        report.failure_count()
+    );
 
     // Load one artifact back and replay it deterministically: the replay
     // reproduces the exact recorded failure (here: step-budget exhaustion).
@@ -108,8 +110,14 @@ fn main() {
     let reproduction = starved
         .reproduce(&artifact)
         .expect("digest matches: same program");
-    assert!(reproduction.matches(&artifact), "the failure replays identically");
-    println!("reproduced: {}", reproduction.kind.expect("failure reproduced"));
+    assert!(
+        reproduction.matches(&artifact),
+        "the failure replays identically"
+    );
+    println!(
+        "reproduced: {}",
+        reproduction.kind.expect("failure reproduced")
+    );
 
     std::fs::remove_dir_all(&workdir).ok();
 }

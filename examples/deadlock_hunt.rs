@@ -49,8 +49,8 @@ fn main() {
     )
     .expect("the example program is valid CIL");
 
-    let report = hunt_deadlocks(&program, "main", &DeadlockOptions::default())
-        .expect("the hunt runs");
+    let report =
+        hunt_deadlocks(&program, "main", &DeadlockOptions::default()).expect("the hunt runs");
 
     println!(
         "Phase 1 (lock-order graph) predicted {} cycle(s):",

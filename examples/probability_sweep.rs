@@ -12,10 +12,7 @@ fn main() {
     println!("pad  RF P(race)  RF P(error)  Simple P(error)");
     for pad in [0usize, 10, 50, 200] {
         let program = racefuzzer_suite::workloads::figure2(pad);
-        let pair = RacePair::new(
-            program.tagged_access("s8"),
-            program.tagged_access("s10"),
-        );
+        let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
 
         let mut rf_hits = 0u64;
         let mut rf_errors = 0u64;

@@ -37,17 +37,23 @@ fn main() {
     .expect("the example program is valid CIL");
 
     // Phase 1: predict potential races with the hybrid detector.
-    let potential = predict_races(&program, "main", &PredictConfig::default())
-        .expect("prediction runs");
-    println!("Phase 1 predicted {} potential racing pair(s):", potential.len());
+    let potential =
+        predict_races(&program, "main", &PredictConfig::default()).expect("prediction runs");
+    println!(
+        "Phase 1 predicted {} potential racing pair(s):",
+        potential.len()
+    );
     for pair in &potential {
         println!("  {}", pair.describe(&program));
     }
 
     // Phase 2: direct the random scheduler at each pair.
-    let report = analyze(&program, "main", &AnalyzeOptions::with_trials(50))
-        .expect("analysis runs");
-    println!("\nPhase 2 confirmed {} real race(s):", report.real_races().len());
+    let report =
+        analyze(&program, "main", &AnalyzeOptions::with_trials(50)).expect("analysis runs");
+    println!(
+        "\nPhase 2 confirmed {} real race(s):",
+        report.real_races().len()
+    );
     for pair_report in &report.pairs {
         println!(
             "  {} -> hits {}/{} (P = {:.2}), exceptions: {:?}",
@@ -59,8 +65,7 @@ fn main() {
         );
         // Deterministic replay from the seed alone — no trace recording.
         if let Some(seed) = pair_report.first_exception_seed {
-            let replayed =
-                replay(&program, "main", pair_report.target, seed).expect("replay runs");
+            let replayed = replay(&program, "main", pair_report.target, seed).expect("replay runs");
             println!(
                 "  replaying seed {seed}: race at step {}, uncaught {:?}",
                 replayed.races.first().map(|race| race.step).unwrap_or(0),

@@ -40,8 +40,8 @@ fn main() {
     );
 
     // Find a seed whose resolution kills the worker.
-    let report = fuzz_pair(&program, "main", pair, 50, 1, &FuzzConfig::default())
-        .expect("fuzzing runs");
+    let report =
+        fuzz_pair(&program, "main", pair, 50, 1, &FuzzConfig::default()).expect("fuzzing runs");
     println!(
         "race created in {}/{} trials; crashes in {} of them",
         report.hits, report.trials, report.exception_trials
@@ -51,7 +51,6 @@ fn main() {
         .expect("some trial crashes the worker");
 
     // One seed is the entire bug report: render the trace.
-    let trace =
-        render_trace(&program, "main", pair, seed).expect("trace renders");
+    let trace = render_trace(&program, "main", pair, seed).expect("trace renders");
     println!("\n{trace}");
 }

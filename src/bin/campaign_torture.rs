@@ -127,12 +127,8 @@ fn supervise_mode(args: &[String]) -> i32 {
             .env_remove(faults::SCHEDULE_ENV)
             .env(faults::LOG_ENV, &fault_log);
         if attempt <= rounds {
-            let schedule = faults::Schedule::seeded(
-                seed + u64::from(attempt),
-                &torture::DURABLE_SITES,
-                4,
-                12,
-            );
+            let schedule =
+                faults::Schedule::seeded(seed + u64::from(attempt), &torture::DURABLE_SITES, 4, 12);
             if !schedule.is_empty() {
                 cmd.env(faults::SCHEDULE_ENV, schedule.render());
             }
@@ -182,6 +178,9 @@ fn supervise_mode(args: &[String]) -> i32 {
         );
         return 4;
     }
-    println!("torture OK: {} crashes survived, report byte-identical", outcome.crashes);
+    println!(
+        "torture OK: {} crashes survived, report byte-identical",
+        outcome.crashes
+    );
     0
 }

@@ -57,8 +57,8 @@ pub mod prelude {
         predict_races, DetectorEngine, EpochEngine, Policy, PredictConfig, RacePair,
     };
     pub use interp::{
-        run_with, Limits, NullObserver, RandomScheduler, RoundRobinScheduler,
-        RunToBlockScheduler, Termination,
+        run_with, Limits, NullObserver, RandomScheduler, RoundRobinScheduler, RunToBlockScheduler,
+        Termination,
     };
     pub use racefuzzer::{
         analyze, fuzz_pair, fuzz_pair_once, gather_candidates, hunt_deadlocks, render_trace,

@@ -30,8 +30,7 @@ fn corpus() -> Vec<(String, String)> {
 #[test]
 fn every_corpus_file_compiles() {
     for (name, text) in corpus() {
-        let program =
-            cil::compile(&text).unwrap_or_else(|error| panic!("{name}: {error}"));
+        let program = cil::compile(&text).unwrap_or_else(|error| panic!("{name}: {error}"));
         assert!(program.proc_named("main").is_some(), "{name} has a main");
     }
 }

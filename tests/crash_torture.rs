@@ -175,8 +175,7 @@ fn torture_config(workers: usize) -> usize {
         "kill sweep should crash the campaign many times, got {kill_crashes}"
     );
     assert_eq!(
-        recovered,
-        expected,
+        recovered, expected,
         "[{label}] kill sweep: recovered report differs from baseline"
     );
 
@@ -210,14 +209,16 @@ fn torture_config(workers: usize) -> usize {
             plan("campaign.checkpoint.write", 6, FaultAction::Abort),
         ]),
     ];
-    scheduled += torn_schedules.iter().map(|s| s.plans().len()).sum::<usize>();
+    scheduled += torn_schedules
+        .iter()
+        .map(|s| s.plans().len())
+        .sum::<usize>();
     let (torn_crashes, _, recovered) = supervised_sweep(&torn_dir, workers, &torn_log, |attempt| {
         torn_schedules.get(attempt as usize - 1).cloned()
     });
     assert!(torn_crashes >= 3, "torn sweep crashes, got {torn_crashes}");
     assert_eq!(
-        recovered,
-        expected,
+        recovered, expected,
         "[{label}] torn sweep: recovered report differs from baseline"
     );
 
@@ -253,7 +254,10 @@ fn torture_config(workers: usize) -> usize {
             FaultAction::Abort,
         )]),
     ];
-    scheduled += journal_schedules.iter().map(|s| s.plans().len()).sum::<usize>();
+    scheduled += journal_schedules
+        .iter()
+        .map(|s| s.plans().len())
+        .sum::<usize>();
     let (journal_crashes, _, recovered) =
         supervised_sweep(&journal_dir, workers, &journal_log, |attempt| {
             journal_schedules.get(attempt as usize - 1).cloned()
@@ -272,8 +276,7 @@ fn torture_config(workers: usize) -> usize {
         "[{label}] the torn journal record must be detected and sidelined"
     );
     assert_eq!(
-        recovered,
-        expected,
+        recovered, expected,
         "[{label}] journal sweep: recovered report differs from baseline"
     );
 
@@ -338,7 +341,10 @@ fn crash_torture_reports_are_byte_identical() {
         faults::compiled(),
         "test builds must compile failpoints in (dev-dependency feature unification)"
     );
-    let scheduled: usize = [1usize, 4].iter().map(|&workers| torture_config(workers)).sum();
+    let scheduled: usize = [1usize, 4]
+        .iter()
+        .map(|&workers| torture_config(workers))
+        .sum();
     assert!(
         scheduled >= 200,
         "torture coverage shrank: only {scheduled} scheduled fault points (need >= 200)"

@@ -129,19 +129,13 @@ fn full_pipeline_on_figure1_matches_paper_story() {
 #[test]
 fn replay_is_stable_across_the_public_api() {
     let program = workloads::figure2(25);
-    let pair = RacePair::new(
-        program.tagged_access("s8"),
-        program.tagged_access("s10"),
-    );
+    let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
     for seed in [0u64, 7, 42] {
         let a = replay(&program, "main", pair, seed).unwrap();
         let b = replay(&program, "main", pair, seed).unwrap();
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.races, b.races);
-        assert_eq!(
-            a.uncaught_names(&program),
-            b.uncaught_names(&program)
-        );
+        assert_eq!(a.uncaught_names(&program), b.uncaught_names(&program));
     }
 }
 

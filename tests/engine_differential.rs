@@ -296,15 +296,13 @@ fn arb_op(globals: u8) -> impl Strategy<Value = Op> {
 }
 
 fn arb_threads(globals: u8) -> impl Strategy<Value = Vec<Vec<Op>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(arb_op(globals), 1..6),
-        1..4,
-    )
+    proptest::collection::vec(proptest::collection::vec(arb_op(globals), 1..6), 1..4)
 }
 
 fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
     use std::fmt::Write as _;
-    let mut source = String::from("class Lock { }\nclass Box { n }\nglobal lk;\nglobal bx;\nglobal arr;\n");
+    let mut source =
+        String::from("class Lock { }\nclass Box { n }\nglobal lk;\nglobal bx;\nglobal arr;\n");
     for g in 0..globals {
         let _ = writeln!(source, "global g{g} = 0;");
     }
@@ -337,9 +335,7 @@ fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
         }
         let _ = writeln!(source, "}}");
     }
-    source.push_str(
-        "proc main() {\n    lk = new Lock;\n    bx = new Box;\n    arr = new [4];\n",
-    );
+    source.push_str("proc main() {\n    lk = new Lock;\n    bx = new Box;\n    arr = new [4];\n");
     // Start the field and every element at 0, so bumps add instead of
     // throwing on their first read.
     source.push_str("    var b = bx;\n    b.n = 0;\n    var a = arr;\n");
@@ -355,7 +351,6 @@ fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
     source.push_str("}\n");
     source
 }
-
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

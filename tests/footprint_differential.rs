@@ -32,12 +32,8 @@ fn legacy_access(program: &Program, pc: InstrId) -> Option<(LegacyPlace, bool)> 
     match program.instr(pc) {
         Instr::LoadGlobal { global, .. } => Some((LegacyPlace::Global(*global), false)),
         Instr::StoreGlobal { global, .. } => Some((LegacyPlace::Global(*global), true)),
-        Instr::LoadField { obj, field, .. } => {
-            Some((LegacyPlace::Field(*obj, *field), false))
-        }
-        Instr::StoreField { obj, field, .. } => {
-            Some((LegacyPlace::Field(*obj, *field), true))
-        }
+        Instr::LoadField { obj, field, .. } => Some((LegacyPlace::Field(*obj, *field), false)),
+        Instr::StoreField { obj, field, .. } => Some((LegacyPlace::Field(*obj, *field), true)),
         Instr::LoadElem { arr, .. } => Some((LegacyPlace::Elem(*arr), false)),
         Instr::StoreElem { arr, .. } => Some((LegacyPlace::Elem(*arr), true)),
         _ => None,

@@ -4,18 +4,13 @@
 //! observable behaviour.
 
 use racefuzzer_suite::prelude::*;
-use racefuzzer_suite::racefuzzer::{
-    fuzz_atomicity_once, fuzz_once, DeadlockOptions,
-};
+use racefuzzer_suite::racefuzzer::{fuzz_atomicity_once, fuzz_once, DeadlockOptions};
 use std::collections::BTreeSet;
 
 #[test]
 fn race_mode_outcomes_are_pure_functions_of_the_seed() {
     let program = workloads::figure2(40);
-    let pair = RacePair::new(
-        program.tagged_access("s8"),
-        program.tagged_access("s10"),
-    );
+    let pair = RacePair::new(program.tagged_access("s8"), program.tagged_access("s10"));
     for seed in 0..20 {
         let a = replay(&program, "main", pair, seed).unwrap();
         let b = replay(&program, "main", pair, seed).unwrap();
@@ -90,16 +85,14 @@ fn atomicity_mode_outcomes_are_pure_functions_of_the_seed() {
         "#,
     )
     .unwrap();
-    let candidates = racefuzzer_suite::detector::predict_atomicity_violations(
-        &program, "main", 5,
-    )
-    .unwrap();
+    let candidates =
+        racefuzzer_suite::detector::predict_atomicity_violations(&program, "main", 5).unwrap();
     let candidate = candidates.first().expect("split region predicted");
     for seed in 0..20 {
-        let a = fuzz_atomicity_once(&program, "main", candidate, &FuzzConfig::seeded(seed))
-            .unwrap();
-        let b = fuzz_atomicity_once(&program, "main", candidate, &FuzzConfig::seeded(seed))
-            .unwrap();
+        let a =
+            fuzz_atomicity_once(&program, "main", candidate, &FuzzConfig::seeded(seed)).unwrap();
+        let b =
+            fuzz_atomicity_once(&program, "main", candidate, &FuzzConfig::seeded(seed)).unwrap();
         assert_eq!(a.violations, b.violations, "seed {seed}");
         assert_eq!(a.steps, b.steps, "seed {seed}");
         assert_eq!(a.output, b.output, "seed {seed}");
@@ -109,10 +102,7 @@ fn atomicity_mode_outcomes_are_pure_functions_of_the_seed() {
 #[test]
 fn trace_rendering_is_part_of_the_contract() {
     let program = workloads::figure1();
-    let pair = RacePair::new(
-        program.tagged_access("s5"),
-        program.tagged_access("s7"),
-    );
+    let pair = RacePair::new(program.tagged_access("s5"), program.tagged_access("s7"));
     for seed in [2u64, 5] {
         let a = render_trace(&program, "main", pair, seed).unwrap();
         let b = render_trace(&program, "main", pair, seed).unwrap();

@@ -64,12 +64,8 @@ fn static_source_confirms_a_race_dynamic_phase1_misses() {
 
     // Dynamic Phase 1 never observes the guarded access, so the pair is
     // not even a candidate — the race is structurally invisible to it.
-    let dynamic = racefuzzer::analyze(
-        &program,
-        "main",
-        &options(CandidateSource::DynamicPhase1),
-    )
-    .unwrap();
+    let dynamic =
+        racefuzzer::analyze(&program, "main", &options(CandidateSource::DynamicPhase1)).unwrap();
     assert!(
         !dynamic.potential.contains(&hidden),
         "profiling was expected to miss the guarded pair {hidden:?}; \
@@ -105,14 +101,9 @@ fn union_source_keeps_dynamic_order_and_appends_static_only_pairs() {
     let program = cil::compile(HIDDEN_RACE).unwrap();
     let hidden = RacePair::new(program.tagged_access("cd"), main_data_write(&program));
 
-    let dynamic = racefuzzer::analyze(
-        &program,
-        "main",
-        &options(CandidateSource::DynamicPhase1),
-    )
-    .unwrap();
-    let union =
-        racefuzzer::analyze(&program, "main", &options(CandidateSource::Union)).unwrap();
+    let dynamic =
+        racefuzzer::analyze(&program, "main", &options(CandidateSource::DynamicPhase1)).unwrap();
+    let union = racefuzzer::analyze(&program, "main", &options(CandidateSource::Union)).unwrap();
 
     // The dynamic prefix survives verbatim (checkpoint compatibility), and
     // every dynamic pair's provenance records whether the static generator
@@ -147,12 +138,8 @@ fn union_source_keeps_dynamic_order_and_appends_static_only_pairs() {
 fn gather_candidates_rejects_bad_entries() {
     let program = cil::compile("proc main() { var x = 0; }").unwrap();
     for source in [CandidateSource::Static, CandidateSource::Union] {
-        assert!(racefuzzer::gather_candidates(
-            &program,
-            "nope",
-            &narrow_predict(),
-            source
-        )
-        .is_err());
+        assert!(
+            racefuzzer::gather_candidates(&program, "nope", &narrow_predict(), source).is_err()
+        );
     }
 }

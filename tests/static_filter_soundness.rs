@@ -39,11 +39,8 @@ fn arb_op(globals: u8) -> impl Strategy<Value = Op> {
 /// accesses — yet fork/join order makes them statically impossible, giving
 /// the filter genuine pruning work on most generated programs.
 fn arb_program(globals: u8) -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        proptest::collection::vec(arb_op(globals), 1..6),
-        1..4,
-    )
-    .prop_map(move |threads| render_program(globals, &threads))
+    proptest::collection::vec(proptest::collection::vec(arb_op(globals), 1..6), 1..4)
+        .prop_map(move |threads| render_program(globals, &threads))
 }
 
 fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
@@ -230,11 +227,8 @@ fn arb_elem_op(cells: u8) -> impl Strategy<Value = ElemOp> {
 }
 
 fn arb_elem_program(cells: u8) -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        proptest::collection::vec(arb_elem_op(cells), 1..6),
-        1..4,
-    )
-    .prop_map(move |threads| render_elem_program(cells, &threads))
+    proptest::collection::vec(proptest::collection::vec(arb_elem_op(cells), 1..6), 1..4)
+        .prop_map(move |threads| render_elem_program(cells, &threads))
 }
 
 fn render_elem_program(cells: u8, threads: &[Vec<ElemOp>]) -> String {
