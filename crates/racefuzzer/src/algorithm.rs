@@ -34,7 +34,9 @@
 //! tables cannot answer for (the monitor's expiry, the step budget, a
 //! deadline poll, a decision that would leave no candidate or wake a
 //! thread without a table) and writes the reached state back into the
-//! execution there (DESIGN.md §5.2).
+//! execution there (DESIGN.md §5.2). A thread that stays the lone
+//! candidate for a whole lap of its table is skipped ahead in whole laps,
+//! one `Rng::discard` for all their forced draws, short of those stops.
 
 use crate::config::FuzzConfig;
 use crate::outcome::{FuzzOutcome, RealRaceEvent};
@@ -250,6 +252,9 @@ pub(crate) fn fuzz_once_session<'p>(
         // tables (DESIGN.md §5.2), stopping before any decision the
         // tables cannot answer for, then materialise.
         if spin.at_loop_top(exec, &postponed, decisions) {
+            // The lone candidate of the latest one-candidate decisions and
+            // how many it made in a row since the last whole-lap attempt.
+            let mut solo = (usize::MAX, 0);
             loop {
                 let decision = decisions + 1;
                 if spin.steps() >= config.max_steps
@@ -262,6 +267,15 @@ pub(crate) fn fuzz_once_session<'p>(
                 }
                 let bound = spin.bound();
                 let pick = spin.candidate(rng.clone().below(bound));
+                if bound == 1 && solo.0 == pick && solo.1 >= spin.period(pick) && schedule.is_none()
+                {
+                    solo.1 = 0;
+                    let skipped = skip_laps(spin, pick, &mut rng, decisions, &postponed, config);
+                    if skipped > 0 {
+                        decisions += skipped;
+                        continue;
+                    }
+                }
                 let Some(steps) = spin.plan(pick) else {
                     break;
                 };
@@ -272,6 +286,11 @@ pub(crate) fn fuzz_once_session<'p>(
                 debug_assert_eq!(spin.candidate(index), pick);
                 decisions = decision;
                 let thread = spin.commit(pick);
+                solo = match bound {
+                    1 if solo.0 == pick => (pick, solo.1 + 1),
+                    1 => (pick, 1),
+                    _ => (pick, 0),
+                };
                 if let Some(trace) = &mut schedule {
                     trace.extend(std::iter::repeat_n(thread, steps as usize));
                 }
@@ -392,7 +411,13 @@ pub(crate) fn fuzz_once_session<'p>(
                 }
                 ready.stepped(exec, chosen);
             }
-            spin.stepped(exec, chosen, exec.steps() - before);
+            if exec.steps() < config.max_steps {
+                spin.stepped(exec, chosen, exec.steps() - before);
+            } else {
+                // The budget can cut a run-until-sync decision short of its
+                // cycle row; the next loop-top ends the trial anyway.
+                spin.close();
+            }
         } else {
             spin.close();
             // Algorithm 2: postponed threads whose next access conflicts
@@ -479,6 +504,49 @@ pub(crate) fn fuzz_once_session<'p>(
         output: exec.output().to_vec(),
         schedule,
     })
+}
+
+/// Skips whole laps of `pick`'s table when it is the lone candidate and a
+/// lap keeps it so ([`Spin::solo_lap`]), and returns the decisions
+/// skipped. It skips as many laps as fit before the monitor's expiry, the
+/// step budget (strictly, so the loop-top check still stops the replay)
+/// and, under a deadline, the next poll; each skipped decision is one
+/// forced draw. Out of line: the loop runs it at most once per lap of
+/// one-candidate decisions, and the loop itself runs once per decision.
+#[inline(never)]
+fn skip_laps(
+    spin: &mut Spin,
+    pick: usize,
+    rng: &mut Rng,
+    decisions: u64,
+    postponed: &[(ThreadId, u64)],
+    config: &FuzzConfig,
+) -> u64 {
+    let Some(lap_steps) = spin.solo_lap(pick) else {
+        return 0;
+    };
+    let period = spin.period(pick);
+    let expiry = postponed.first().map_or(u64::MAX, |&(_, since)| {
+        since.saturating_add(config.postpone_limit)
+    });
+    let mut laps = (expiry.saturating_sub(decisions) / period)
+        .min((config.max_steps - spin.steps() - 1) / lap_steps);
+    if config.wall_clock.is_some() {
+        laps = laps.min((256 - decisions % 256) / period);
+    }
+    let skipped = laps * period;
+    if laps > 0 {
+        debug_assert!(
+            decisions + skipped <= expiry
+                && spin.steps() + laps * lap_steps < config.max_steps
+                && (config.wall_clock.is_none()
+                    || (decisions + skipped - 1) / 256 == decisions / 256),
+            "a jump crossed a loop-top stop"
+        );
+        rng.discard(skipped);
+        spin.jump(pick, laps, lap_steps);
+    }
+    skipped
 }
 
 fn step(

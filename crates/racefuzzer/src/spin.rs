@@ -18,7 +18,9 @@
 //! [`crate::algorithm`] replays decisions from the tables: [`Spin`]
 //! simulates monitor owners and enabledness, the loop makes the RNG draws,
 //! and [`Spin::materialise`] writes the reached state back into the
-//! execution whenever the loop needs a real one.
+//! execution whenever the loop needs a real one. When one thread stays the
+//! lone candidate through a whole lap ([`Spin::solo_lap`]), the loop
+//! replays many laps in one [`Spin::jump`].
 
 use interp::{Execution, ObjId, ThreadId, ThreadState};
 use std::sync::Arc;
@@ -127,6 +129,8 @@ pub(crate) struct Spin {
     /// Statements executed, replayed ones included.
     steps: u64,
     install: Vec<Arc<ThreadState>>,
+    /// The owners a lap has moved so far ([`Spin::solo_lap`]).
+    overlay: Vec<(usize, Option<ThreadId>)>,
 }
 
 impl Spin {
@@ -483,6 +487,70 @@ impl Spin {
         track.thread
     }
 
+    /// The decisions in one lap of `track`'s table.
+    pub(crate) fn period(&self, track: usize) -> u64 {
+        self.tracks[track].rows.len() as u64
+    }
+
+    /// The statements of one lap of `track`'s table from its position, if
+    /// `track` is the lone candidate and stays so after every decision of
+    /// the lap: none moves a monitor a postponed thread waits for, none
+    /// leaves `track` disabled and none enables another participant. A lap
+    /// returns the thread to its state and every monitor it moved to its
+    /// owner, so it can be repeated any number of times ([`Spin::jump`]).
+    pub(crate) fn solo_lap(&mut self, track: usize) -> Option<u64> {
+        let Phase::Closed { pos } = self.tracks[track].phase else {
+            return None;
+        };
+        if self.candidates != 1 << track {
+            return None;
+        }
+        let mut overlay = std::mem::take(&mut self.overlay);
+        overlay.clear();
+        let rows = &self.tracks[track].rows;
+        let mut steps = 0;
+        let solo = rows[pos..].iter().chain(&rows[..pos]).all(|row| {
+            for &(slot, owner) in row.locks.iter() {
+                match overlay.iter_mut().find(|(moved, _)| *moved == slot) {
+                    Some(moved) => moved.1 = owner,
+                    None => overlay.push((slot, owner)),
+                }
+            }
+            steps += row.steps;
+            // Without a lock move only `track`'s own enabledness can change.
+            !row.watched
+                && self.is_enabled(track, row.needs, &overlay)
+                && (row.locks.is_empty()
+                    || (0..self.tracks.len()).all(|other| {
+                        other == track
+                            || !self.is_enabled(other, self.tracks[other].needs, &overlay)
+                    }))
+        });
+        debug_assert!(
+            !solo
+                || overlay
+                    .iter()
+                    .all(|&(slot, owner)| self.owners[slot] == owner),
+            "a lap did not restore the monitors it moved"
+        );
+        self.overlay = overlay;
+        solo.then_some(steps)
+    }
+
+    /// Replays `laps` laps of `track`'s table, each of `lap_steps`
+    /// statements, that [`Spin::solo_lap`] accepted: the table position,
+    /// the owners and the candidates end where they started.
+    pub(crate) fn jump(&mut self, track: usize, laps: u64, lap_steps: u64) {
+        self.steps += laps * lap_steps;
+        self.tracks[track].moved = true;
+        #[cfg(test)]
+        {
+            let decisions = laps * self.period(track);
+            tests::REPLAYED.with(|count| count.set(count.get() + decisions));
+            tests::JUMPED.with(|count| count.set(count.get() + decisions));
+        }
+    }
+
     /// Writes the replayed state into `exec`: each moved participant's
     /// state, the monitors they hold, and the statement count.
     pub(crate) fn materialise(&mut self, exec: &mut Execution<'_>) {
@@ -529,11 +597,26 @@ pub(crate) mod tests {
     thread_local! {
         /// Decisions replayed on this thread.
         pub(crate) static REPLAYED: Cell<u64> = const { Cell::new(0) };
+        /// Of those, decisions replayed in whole laps ([`super::Spin::jump`]).
+        pub(crate) static JUMPED: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Two pollers spin while main is postponed at the write they read
     /// after the handshake; `effect` runs on every poll.
     fn handshake(effect: &str) -> cil::Program {
+        polling(effect, &["a", "b"])
+    }
+
+    /// [`handshake`] with one poller per name in `pollers`.
+    fn polling(effect: &str, pollers: &[&str]) -> cil::Program {
+        let spawns: String = pollers
+            .iter()
+            .map(|name| format!("var {name} = spawn poller();\n"))
+            .collect();
+        let joins: String = pollers
+            .iter()
+            .map(|name| format!("join {name};\n"))
+            .collect();
         cil::compile(&format!(
             r#"
             class Lock {{ }}
@@ -554,32 +637,39 @@ pub(crate) mod tests {
             proc main() {{
                 l = new Lock;
                 cell = new Cell;
-                var a = spawn poller();
-                var b = spawn poller();
+                {spawns}
                 @write data = 1;
                 sync (l) {{ ready = true; }}
-                join a;
-                join b;
+                {joins}
             }}
             "#
         ))
         .expect("handshake compiles")
     }
 
-    /// Decisions replayed over seeds 1–4 targeting the handshake pair.
-    fn replayed(program: &cil::Program) -> u64 {
+    /// Decisions replayed, and of those jumped in whole laps, over seeds
+    /// 1–4 targeting the handshake pair.
+    fn counts(program: &cil::Program) -> (u64, u64) {
         let race_set: BTreeSet<_> = [
             program.tagged_access("read"),
             program.tagged_access("write"),
         ]
         .into_iter()
         .collect();
-        let before = REPLAYED.with(Cell::get);
+        let before = (REPLAYED.with(Cell::get), JUMPED.with(Cell::get));
         for seed in 1..=4 {
             fuzz_once(program, "main", &race_set, &FuzzConfig::seeded(seed))
                 .expect("entry resolves");
         }
-        REPLAYED.with(Cell::get) - before
+        (
+            REPLAYED.with(Cell::get) - before.0,
+            JUMPED.with(Cell::get) - before.1,
+        )
+    }
+
+    /// Decisions replayed over seeds 1–4 targeting the handshake pair.
+    fn replayed(program: &cil::Program) -> u64 {
+        counts(program).0
     }
 
     #[test]
@@ -600,5 +690,27 @@ pub(crate) mod tests {
         ] {
             assert_eq!(replayed(&handshake(effect)), 0, "{effect}");
         }
+    }
+
+    #[test]
+    fn lone_poller_windows_are_jumped() {
+        // The lone poller is the only candidate for a whole window, and a
+        // lap releases `l` to no one: nearly every replayed decision is
+        // skipped in whole laps.
+        let (replayed, jumped) = counts(&polling("", &["a"]));
+        assert!(replayed > 4 * 19_000, "replayed {replayed} decisions");
+        assert!(
+            jumped * 100 >= replayed * 99,
+            "jumped {jumped} of {replayed} replayed decisions"
+        );
+    }
+
+    #[test]
+    fn polling_pairs_are_not_jumped() {
+        // A poller alone in the set holds `l`, and releasing it enables
+        // the other poller: no lap keeps the set to one thread.
+        let (replayed, jumped) = counts(&handshake(""));
+        assert!(replayed > 0);
+        assert_eq!(jumped, 0);
     }
 }

@@ -280,6 +280,7 @@ enum Op {
     Write(u8),
     LockedWrite(u8),
     FieldBump,
+    Rebox,
     ElemBump(u8),
     Nop,
 }
@@ -290,6 +291,7 @@ fn arb_op(globals: u8) -> impl Strategy<Value = Op> {
         (0..globals).prop_map(Op::Write),
         (0..globals).prop_map(Op::LockedWrite),
         Just(Op::FieldBump),
+        Just(Op::Rebox),
         (0..4u8).prop_map(Op::ElemBump),
         Just(Op::Nop),
     ]
@@ -299,17 +301,28 @@ fn arb_threads(globals: u8) -> impl Strategy<Value = Vec<Vec<Op>>> {
     proptest::collection::vec(proptest::collection::vec(arb_op(globals), 1..6), 1..4)
 }
 
+/// Renders `threads` as workers over `globals` shared counters. `Box` and
+/// `Pair` keep `n` at different slots, and `bx` holds either: `rebox`
+/// stores the other class each time it runs, so the `o.n` store in it and
+/// the `b.n` load and store in `bump` each see both layouts once any
+/// worker reboxes (main bumps before the workers start and after they
+/// end).
 fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
     use std::fmt::Write as _;
-    let mut source =
-        String::from("class Lock { }\nclass Box { n }\nglobal lk;\nglobal bx;\nglobal arr;\n");
+    let mut source = String::from(
+        "class Lock { }\nclass Box { n }\nclass Pair { m, n }\n\
+         global lk;\nglobal bx;\nglobal arr;\nglobal flip = 0;\n\
+         proc rebox() {\n    var o = new Box;\n    \
+         if (flip == 1) { o = new Pair; o.m = 7; }\n    \
+         flip = 1 - flip;\n    o.n = 0;\n    bx = o;\n}\n\
+         proc bump() {\n    var b = bx;\n    b.n = b.n + 1;\n}\n",
+    );
     for g in 0..globals {
         let _ = writeln!(source, "global g{g} = 0;");
     }
     for (t, body) in threads.iter().enumerate() {
         let _ = writeln!(source, "proc worker{t}() {{");
         let _ = writeln!(source, "    var tmp = 0;");
-        let _ = writeln!(source, "    var b = bx;");
         let _ = writeln!(source, "    var a = arr;");
         for op in body {
             match op {
@@ -323,7 +336,10 @@ fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
                     let _ = writeln!(source, "    sync (lk) {{ g{g} = tmp + 1; }}");
                 }
                 Op::FieldBump => {
-                    let _ = writeln!(source, "    b.n = b.n + 1;");
+                    let _ = writeln!(source, "    bump();");
+                }
+                Op::Rebox => {
+                    let _ = writeln!(source, "    rebox();");
                 }
                 Op::ElemBump(i) => {
                     let _ = writeln!(source, "    a[{i}] = a[{i}] + tmp;");
@@ -335,10 +351,10 @@ fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
         }
         let _ = writeln!(source, "}}");
     }
-    source.push_str("proc main() {\n    lk = new Lock;\n    bx = new Box;\n    arr = new [4];\n");
     // Start the field and every element at 0, so bumps add instead of
     // throwing on their first read.
-    source.push_str("    var b = bx;\n    b.n = 0;\n    var a = arr;\n");
+    source.push_str("proc main() {\n    lk = new Lock;\n    rebox();\n    bump();\n");
+    source.push_str("    arr = new [4];\n    var a = arr;\n");
     for i in 0..4 {
         let _ = writeln!(source, "    a[{i}] = 0;");
     }
@@ -348,7 +364,7 @@ fn render_program(globals: u8, threads: &[Vec<Op>]) -> String {
     for t in 0..threads.len() {
         let _ = writeln!(source, "    join t{t};");
     }
-    source.push_str("}\n");
+    source.push_str("    bump();\n    var b = bx;\n    print b.n;\n}\n");
     source
 }
 

@@ -35,6 +35,7 @@ use racefuzzer_suite::racefuzzer::{
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::time::Duration;
 use support::arb_program;
 
 /// The Phase-2 decision loop as it stood before the candidate set was kept
@@ -814,6 +815,84 @@ fn spin_windows_under_the_prologue_cache_match_the_frozen_loop() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// One worker polls a flag under a monitor while main is postponed at the
+/// write the worker reads after the flag. The worker is then the only
+/// candidate for the whole window, and a lap releases the monitor to no
+/// one, so the loop skips the window in whole laps.
+const ONE_POLLER: &str = r#"
+    class Lock { }
+    global l;
+    global ready = false;
+    global data = 0;
+    proc poller() {
+        var ok = false;
+        while (!ok) {
+            sync (l) { ok = ready; }
+        }
+        @read var x = data;
+        print x;
+    }
+    proc main() {
+        l = new Lock;
+        var a = spawn poller();
+        @write data = 1;
+        sync (l) { ready = true; }
+        join a;
+    }
+"#;
+
+/// Consecutive monitor limits and step budgets swept by
+/// `spin_lap_boundaries_match_the_frozen_loop`: more than one lap of the
+/// one-poller window, in decisions and in statements, with and without
+/// `switch_only_at_sync`.
+const LAP_SWEEP: u64 = 16;
+
+/// Whole-lap jumps stop short of the monitor's expiry, the step budget and
+/// the next deadline poll, and the remainder runs decision by decision.
+/// The sweeps put the expiry and the budget on every offset within a lap,
+/// a lap boundary included; the one-hour deadline caps every jump at a
+/// poll without ever firing.
+#[test]
+fn spin_lap_boundaries_match_the_frozen_loop() {
+    let program = cil::compile(ONE_POLLER).expect("one poller compiles");
+    let race_set: BTreeSet<InstrId> = [
+        program.tagged_access("read"),
+        program.tagged_access("write"),
+    ]
+    .into_iter()
+    .collect();
+    let mut configs = Vec::new();
+    for switch_only_at_sync in [false, true] {
+        let base = FuzzConfig {
+            switch_only_at_sync,
+            ..FuzzConfig::default()
+        };
+        for offset in 0..LAP_SWEEP {
+            configs.push(FuzzConfig {
+                postpone_limit: 300 + offset,
+                ..base.clone()
+            });
+            configs.push(FuzzConfig {
+                max_steps: 2_000 + offset,
+                ..base.clone()
+            });
+        }
+        configs.push(FuzzConfig {
+            wall_clock: Some(Duration::from_secs(3_600)),
+            ..base
+        });
+    }
+    for config in configs {
+        for seed in SPIN_SEEDS {
+            let config = FuzzConfig {
+                seed,
+                ..config.clone()
+            };
+            assert_matches("one poller", &program, &race_set, &config);
         }
     }
 }
